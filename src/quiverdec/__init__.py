@@ -38,6 +38,7 @@ from .errors import (
     DimensionMismatch,
     InadmissibleStep,
     InternalInconsistency,
+    InvalidCaps,
     NonUniqueMaximizer,
     NotInNRLambdaPlus,
     QuiverdecError,

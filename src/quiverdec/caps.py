@@ -8,9 +8,9 @@ grinding through an astronomical box.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
-from .errors import ResourceLimit
+from .errors import InvalidCaps, ResourceLimit
 
 ENV_MAX_BOX = "QUIVERDEC_MAX_BOX"
 ENV_MAX_SUM = "QUIVERDEC_MAX_SUM"
@@ -25,6 +25,12 @@ class Caps:
     max_bound_sum: int = 24
     max_states: int = 100_000
 
+    def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, int) or value <= 0:
+                raise InvalidCaps(f"{field.name} must be a positive integer, got {value!r}")
+
     @classmethod
     def from_env(cls, base: "Caps" | None = None) -> "Caps":
         """Return ``base`` with any environment overrides applied."""
@@ -37,6 +43,8 @@ class Caps:
         ):
             raw = os.environ.get(env)
             if raw is not None:
+                if not raw.strip().isdecimal() or int(raw) <= 0:
+                    raise InvalidCaps(f"{env} must be a positive integer, got {raw!r}")
                 updates[field] = int(raw)
         return replace(caps, **updates) if updates else caps
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import oracle
@@ -19,6 +20,7 @@ from .caps import Caps
 from .decomposer import product_structure_report
 from .errors import (
     BudgetExhausted,
+    InvalidCaps,
     NonUniqueMaximizer,
     NotInNRLambdaPlus,
     QuiverdecError,
@@ -84,12 +86,8 @@ def _format_pair(state) -> str:
 
 
 def _caps_from_args(args) -> Caps:
-    caps = Caps.from_env()
-    if args.max_box is not None:
-        caps = Caps(args.max_box, caps.max_bound_sum, caps.max_states)
-    if args.max_states is not None:
-        caps = Caps(caps.max_box_volume, caps.max_bound_sum, args.max_states)
-    return caps
+    flags = {"max_box_volume": args.max_box, "max_states": args.max_states}
+    return replace(Caps.from_env(), **{k: v for k, v in flags.items() if v is not None})
 
 
 def _cmd_classify(args) -> int:
@@ -287,6 +285,9 @@ def main(argv=None) -> int:
     except ResourceLimit as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InvalidCaps as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (NotInNRLambdaPlus, NonUniqueMaximizer, BudgetExhausted, QuiverdecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

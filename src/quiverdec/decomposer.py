@@ -15,12 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InternalInconsistency, NotInNRLambdaPlus, SumMismatch
-from .lambda_roots import (
-    LambdaContext,
-    in_sigma_lambda,
-    norm_lambda,
-    sigma_lambda_upto,
-)
+from .lambda_roots import LambdaContext, in_sigma_lambda, norm_lambda, sigma_lambda_upto
 from .quiver_core import (
     DimVector,
     dim_vector,
@@ -86,50 +81,23 @@ class CanonicalDecomposition:
 def _maximal_sigma_multiset(ctx: LambdaContext, a: DimVector):
     """Maximize the p-sum over multisets of Sigma members summing to ``a``.
 
-    Returns (best p-sum, number of maximizing multisets, one witness).
-    Multisets are generated in nondecreasing part order, so each one is
-    counted exactly once. Returns None when ``a`` has no such expression.
+    Returns (best p-sum, number of maximizing multisets, one witness),
+    read from the context's counting table of Sigma multisets. Raises
+    NotInNRLambdaPlus when ``a`` has no such expression.
     """
+    if any(e < 0 for e in a):
+        raise NotInNRLambdaPlus(f"{a!r} has a negative entry")
     elements = sigma_lambda_upto(ctx, a)
+    table = ctx.sigma_table(a)
+    if table[a] is None:
+        raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots")
     p_of = {e: p_form(ctx.quiver, e) for e in elements}
-    memo: dict[tuple[DimVector, int], tuple[int, int, tuple] | None] = {}
-
-    def go(residual: DimVector, k: int):
-        if not any(residual):
-            return (0, 1, ())
-        key = (residual, k)
-        if key in memo:
-            return memo[key]
-        best = None
-        for j in range(k, len(elements)):
-            beta = elements[j]
-            if any(x > r for x, r in zip(beta, residual)):
-                continue
-            sub = go(tuple(r - x for r, x in zip(residual, beta)), j)
-            if sub is None:
-                continue
-            value = p_of[beta] + sub[0]
-            if best is None or value > best[0]:
-                best = (value, sub[1], (beta,) + sub[2])
-            elif value == best[0]:
-                best = (best[0], best[1] + sub[1], best[2])
-        memo[key] = best
-        return best
-
-    return go(a, 0)
+    return table[a], table.count[table.index(a)], table.witness(a, p_of)
 
 
 def sigma_maximizer_count(ctx: LambdaContext, a: Sequence[int]) -> int:
     """How many Sigma multisets attain the maximal p-sum; expected 1."""
-    a = dim_vector(ctx.quiver, a)
-    if any(e < 0 for e in a):
-        raise NotInNRLambdaPlus(f"{a!r} has a negative entry")
-    if all(e == 0 for e in a):
-        return 1
-    result = _maximal_sigma_multiset(ctx, a)
-    if result is None:
-        raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots")
-    return result[1]
+    return _maximal_sigma_multiset(ctx, dim_vector(ctx.quiver, a))[1]
 
 
 def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomposition:
@@ -142,14 +110,7 @@ def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomp
     guarantees the construction is built on.
     """
     a = dim_vector(ctx.quiver, a)
-    if any(e < 0 for e in a):
-        raise NotInNRLambdaPlus(f"{a!r} has a negative entry")
-    if all(e == 0 for e in a):
-        return CanonicalDecomposition((), a, 0)
-    result = _maximal_sigma_multiset(ctx, a)
-    if result is None:
-        raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots")
-    best, count, witness = result
+    best, count, witness = _maximal_sigma_multiset(ctx, a)
     if count != 1:
         raise InternalInconsistency(
             f"{count} maximizing multisets for {a!r}; expected exactly one"

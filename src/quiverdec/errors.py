@@ -15,6 +15,10 @@ class ResourceLimit(QuiverdecError):
     """An enumeration would exceed the configured resource caps."""
 
 
+class InvalidCaps(QuiverdecError, ValueError):
+    """A resource cap is not a positive integer; the command line exits 2."""
+
+
 class NotInNRLambdaPlus(QuiverdecError, ValueError):
     """The vector is not a sum of positive roots orthogonal to the weight."""
 

@@ -1,12 +1,15 @@
 """The weight-dependent root sets and the norm they induce.
 
 For a quiver with weight ``lam`` the positive roots orthogonal to ``lam``
-form the set here called the orthogonal roots (R-plus). Their additive
-closure, the strict-inequality subset Sigma, and the maximal parameter sum
-over decompositions are all decided by definitional dynamic programming
-over enumerated roots: correctness at desk scale is the contract, so the
-membership tests follow the defining inequalities literally rather than
-any sharper criterion.
+form the set here called the orthogonal roots (R-plus). Sigma is decided
+first, by a refinement fact: an orthogonal root outside Sigma has a proper
+split whose p-sum is at least its own p, so refining decompositions ends at
+Sigma multisets. A root's best proper split is thus its best proper Sigma
+multiset, of members with smaller entry sums, and visiting the roots by
+(entry sum, lex) decides each from the members before it. The norm keeps
+its definition, a maximum over decompositions into all orthogonal roots,
+in a table of its own, so the decomposer's check that the Sigma maximum
+equals it compares two computations. Tables are filled bottom-up.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .errors import NotInNRLambdaPlus
+from .errors import InternalInconsistency, NotInNRLambdaPlus, ResourceLimit
 from .quiver_core import (
     DimVector,
     Quiver,
@@ -23,59 +26,135 @@ from .quiver_core import (
     lambda_dot,
     p_form,
     weight_vector,
+    zero_vector,
 )
-from .root_system import classify_root, positive_roots_upto
+from .root_system import box_strides, classify_root, positive_roots_upto
+
+
+def _below(a: Sequence[int], b: Sequence[int]) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+class BoxTable:
+    """Best p-sum over multisets of the added items, for each vector of a box.
+
+    ``table[a]`` is None when no multiset sums to ``a``; ``count`` holds, by
+    mixed-radix index, how many attain the best. Adding an item is one
+    unbounded-knapsack pass, so each multiset is counted once.
+    """
+
+    def __init__(self, bound: DimVector):
+        self.bound, self.strides = bound, box_strides(bound)
+        size = self.index(bound) + 1
+        self.best: list[int | None] = [0] + [None] * (size - 1)
+        self.count = [1] + [0] * (size - 1)
+
+    def index(self, a: Sequence[int]) -> int:
+        return sum(x * s for x, s in zip(a, self.strides))
+
+    def __getitem__(self, a: Sequence[int]) -> int | None:
+        return self.best[self.index(a)]
+
+    def add(self, item: DimVector, p: int) -> None:
+        best, count, shift = self.best, self.count, self.index(item)
+        rows = [0]  # first indices of the rows of vectors below bound - item, ascending
+        for b, x, stride in zip(self.bound[:-1], item, self.strides):
+            rows = [o + k * stride for o in rows for k in range(b - x + 1)]
+        width = self.bound[-1] - item[-1] + 1
+        for row in rows:
+            for j in range(row, row + width):
+                if best[j] is None:
+                    continue
+                k = j + shift
+                value, current = best[j] + p, best[k]
+                if current is None or value > current:
+                    best[k], count[k] = value, count[j]
+                elif value == current:
+                    count[k] += count[j]
+
+    def witness(self, a: DimVector, items: dict[DimVector, int]) -> tuple[DimVector, ...]:
+        """One multiset attaining the best at ``a``, from the added ``items`` with their p."""
+        parts = []
+        while any(a):
+            for item, p in items.items():
+                rest = tuple(x - y for x, y in zip(a, item))
+                if min(rest) >= 0 and self[rest] is not None and self[rest] + p == self[a]:
+                    parts.append(item)
+                    a = rest
+                    break
+            else:
+                raise InternalInconsistency(f"no added item continues a best multiset at {a!r}")
+        return tuple(parts)
 
 
 class LambdaContext:
     """A quiver with a fixed exact-rational weight and resource caps.
 
-    Memo tables live on the context, so sweeps over many vectors against
-    one weight share work. A context is cheap to create and safe to use
-    from one thread at a time; distinct contexts are fully independent.
+    The context classifies one box, grown to cover each bound asked about,
+    with its Sigma and norm tables; Sigma decisions are memoized by vector,
+    as they do not depend on the box. A context is safe to use from one
+    thread at a time; distinct contexts are fully independent.
     """
 
     def __init__(self, quiver: Quiver, weight: Iterable, caps: Caps = DEFAULT_CAPS):
         self.quiver = quiver
         self.weight: WeightVector = weight_vector(quiver, weight)
         self.caps = caps
-        self._roots_cache: dict[DimVector, tuple[DimVector, ...]] = {}
-        self._best_cache: dict[DimVector, int | None] = {}
+        self._bound: DimVector = zero_vector(quiver)
+        self._roots: tuple[DimVector, ...] = ()  # orthogonal roots of the box, by (sum, lex)
+        self._split: dict[DimVector, int | None] = {}  # best proper split of each decided root
+        self._tables: dict[str, BoxTable] = {}
+
+    def _cover(self, bound: DimVector) -> None:
+        """Classify a box containing ``bound``: the join with the old box, if it fits the caps."""
+        if _below(bound, self._bound):
+            return
+        box = tuple(map(max, bound, self._bound))
+        try:
+            self.caps.check_box(box)
+        except ResourceLimit:
+            box = bound
+        roots = positive_roots_upto(self.quiver, box, self.caps)
+        orthogonal = (b for b in roots if lambda_dot(self.weight, b) == 0)
+        self._roots = tuple(sorted(orthogonal, key=lambda b: (sum(b), b)))
+        self._bound = box
+        self._tables.clear()
 
     def orthogonal_roots_upto(self, bound: Sequence[int]) -> tuple[DimVector, ...]:
-        """Positive roots below ``bound`` orthogonal to the weight, ascending lex."""
+        """Positive roots below ``bound`` orthogonal to the weight, by (entry sum, lex)."""
         bound = dim_vector(self.quiver, bound)
-        if bound not in self._roots_cache:
-            roots = positive_roots_upto(self.quiver, bound, self.caps)
-            self._roots_cache[bound] = tuple(
-                b for b in roots if lambda_dot(self.weight, b) == 0
-            )
-        return self._roots_cache[bound]
+        if any(b < 0 for b in bound):
+            raise ValueError("bound must be nonnegative")
+        self._cover(bound)
+        return tuple(b for b in self._roots if _below(b, bound))
 
-    def _best_sum_p(self, target: DimVector, roots: tuple[DimVector, ...]) -> int | None:
-        """Max p-sum over decompositions of ``target`` into orthogonal roots.
+    def sigma_table(self, bound: Sequence[int]) -> BoxTable:
+        """Best Sigma multisets, with their counts, over a box containing ``bound``.
 
-        Returns None when no decomposition exists. Memoized by residual
-        vector only: the usable roots below a residual do not depend on the
-        top-level bound the caller enumerated with.
+        Roots are decided by (entry sum, lex): a root's entry is its best
+        proper split, and a root that beats it joins Sigma and the table.
         """
-        if not any(target):
-            return 0
-        cache = self._best_cache
-        if target in cache:
-            return cache[target]
-        best = None
-        for beta in roots:
-            if all(x <= t for x, t in zip(beta, target)):
-                rest = self._best_sum_p(
-                    tuple(t - x for t, x in zip(target, beta)), roots
-                )
-                if rest is not None:
-                    value = p_form(self.quiver, beta) + rest
-                    if best is None or value > best:
-                        best = value
-        cache[target] = best
-        return best
+        self._cover(dim_vector(self.quiver, bound))
+        if "sigma" not in self._tables:
+            table = self._tables["sigma"] = BoxTable(self._bound)
+            for beta in self._roots:
+                self._split.setdefault(beta, table[beta])
+                if self._in_sigma(beta):
+                    table.add(beta, p_form(self.quiver, beta))
+        return self._tables["sigma"]
+
+    def _in_sigma(self, beta: DimVector) -> bool:
+        split = self._split[beta]
+        return split is None or split < p_form(self.quiver, beta)
+
+    def norm_table(self, bound: Sequence[int]) -> BoxTable:
+        """Best decompositions into all orthogonal roots, over a box containing ``bound``."""
+        self._cover(dim_vector(self.quiver, bound))
+        if "norm" not in self._tables:
+            table = self._tables["norm"] = BoxTable(self._bound)
+            for beta in self._roots:
+                table.add(beta, p_form(self.quiver, beta))
+        return self._tables["norm"]
 
 
 def in_R_lambda_plus(ctx: LambdaContext, a: Sequence[int]) -> bool:
@@ -93,12 +172,7 @@ def in_N_R_lambda_plus(ctx: LambdaContext, a: Sequence[int]) -> bool:
     "m * delta - a for every m" can call this without pre-filtering.
     """
     a = dim_vector(ctx.quiver, a)
-    if any(e < 0 for e in a):
-        return False
-    if all(e == 0 for e in a):
-        return True
-    roots = ctx.orthogonal_roots_upto(a)
-    return ctx._best_sum_p(a, roots) is not None
+    return all(e >= 0 for e in a) and ctx.sigma_table(a)[a] is not None
 
 
 def norm_lambda(ctx: LambdaContext, a: Sequence[int]) -> int:
@@ -106,9 +180,7 @@ def norm_lambda(ctx: LambdaContext, a: Sequence[int]) -> int:
     a = dim_vector(ctx.quiver, a)
     if any(e < 0 for e in a):
         raise NotInNRLambdaPlus(f"{a!r} has a negative entry")
-    if all(e == 0 for e in a):
-        return 0
-    best = ctx._best_sum_p(a, ctx.orthogonal_roots_upto(a))
+    best = ctx.norm_table(a)[a]
     if best is None:
         raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots")
     return best
@@ -122,18 +194,9 @@ def max_proper_sum_p(ctx: LambdaContext, a: Sequence[int]) -> int | None:
     a = dim_vector(ctx.quiver, a)
     if any(e < 0 for e in a) or all(e == 0 for e in a):
         return None
-    roots = ctx.orthogonal_roots_upto(a)
-    best = None
-    for beta in roots:
-        if beta == a:
-            continue
-        if all(x <= t for x, t in zip(beta, a)):
-            rest = ctx._best_sum_p(tuple(t - x for t, x in zip(a, beta)), roots)
-            if rest is not None:
-                value = p_form(ctx.quiver, beta) + rest
-                if best is None or value > best:
-                    best = value
-    return best
+    best = ctx.sigma_table(a)[a]
+    # an orthogonal root's one-part decomposition is not proper
+    return ctx._split.get(a, best)
 
 
 def in_sigma_lambda(ctx: LambdaContext, a: Sequence[int]) -> bool:
@@ -146,16 +209,14 @@ def in_sigma_lambda(ctx: LambdaContext, a: Sequence[int]) -> bool:
     a = dim_vector(ctx.quiver, a)
     if not in_R_lambda_plus(ctx, a):
         return False
-    bound = max_proper_sum_p(ctx, a)
-    return bound is None or bound < p_form(ctx.quiver, a)
+    ctx.sigma_table(a)
+    return ctx._in_sigma(a)
 
 
 def sigma_lambda_upto(ctx: LambdaContext, bound: Sequence[int]) -> tuple[DimVector, ...]:
-    """All Sigma members componentwise below ``bound``, ascending lex.
-
-    Members are necessarily roots, so only enumerated roots are tested.
-    """
+    """All Sigma members componentwise below ``bound``, ascending lex."""
     bound = dim_vector(ctx.quiver, bound)
     if any(b < 0 for b in bound):
         return ()
-    return tuple(b for b in ctx.orthogonal_roots_upto(bound) if in_sigma_lambda(ctx, b))
+    ctx.sigma_table(bound)
+    return tuple(sorted(b for b in ctx.orthogonal_roots_upto(bound) if ctx._in_sigma(b)))

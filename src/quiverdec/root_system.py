@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from typing import Sequence
 
@@ -118,12 +119,40 @@ def iter_box(bound: Sequence[int], include_zero: bool = False):
 
 
 def positive_roots_upto(q: Quiver, bound: Sequence[int], caps: Caps = DEFAULT_CAPS) -> tuple[DimVector, ...]:
-    """All positive roots componentwise below ``bound``, ascending lex."""
+    """All positive roots componentwise below ``bound``, ascending lex.
+
+    One ascending pass, one lookup per vector: the first descent step of
+    :func:`classify_root` only lowers one entry, so it lands on a vector
+    classified earlier, or leaves the orthant.
+    """
     bound = dim_vector(q, bound)
     if any(b < 0 for b in bound):
         raise ValueError("bound must be nonnegative")
     caps.check_box(bound)
-    return tuple(a for a in iter_box(bound) if classify_root(q, a).is_root)
+    strides = box_strides(bound)
+    rows = [
+        (i, [(j, c) for j, c in enumerate(q.cartan_matrix()[i]) if c])
+        for i, v in enumerate(q.vertices)
+        if q.is_loopfree(v)
+    ]
+    classes = [RootClass.NOT_ROOT]  # entry k classifies the k-th vector of the box
+    for k, a in enumerate(iter_box(bound), start=1):
+        for i, row in rows:
+            c = sum(x * a[j] for j, x in row)
+            if c > 0 and sum(a) > 1:
+                classes.append(RootClass.NOT_ROOT if c > a[i] else classes[k - c * strides[i]])
+                break
+        else:
+            classes.append(classify_root(q, a))  # a simple root, or no descent
+    return tuple(a for a, cls in zip(iter_box(bound), classes[1:]) if cls.is_root)
+
+
+def box_strides(bound: Sequence[int]) -> tuple[int, ...]:
+    """Mixed-radix place values: ``sum(a_i * stride_i)`` numbers the box ascending lex."""
+    strides = [1] * len(bound)
+    for i in range(len(bound) - 1, 0, -1):
+        strides[i - 1] = strides[i] * (bound[i] + 1)
+    return tuple(strides)
 
 
 # -- shape recognition -------------------------------------------------------
@@ -149,29 +178,28 @@ class QuiverShape:
         }
 
 
-def _char_poly_signs(cartan) -> list[Fraction]:
+def _char_poly_signs(cartan) -> list[int]:
     """Elementary symmetric functions e_k of the eigenvalues, k = 1..n.
 
-    Faddeev-LeVerrier over exact rationals: the matrix is symmetric with
-    integer entries, so eigenvalues are real and the e_k decide positive
-    (semi)definiteness: all e_k > 0 iff positive definite, all e_k >= 0 iff
-    positive semidefinite.
+    Faddeev-LeVerrier in integers, where every division by k is exact: the
+    matrix is symmetric with integer entries, so eigenvalues are real and
+    the e_k decide positive (semi)definiteness: all e_k > 0 iff positive
+    definite, all e_k >= 0 iff positive semidefinite.
     """
     n = len(cartan)
-    m = [[Fraction(x) for x in row] for row in cartan]
-    work = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     coeffs = []
-    a_prev = Fraction(0)
+    a_prev = 0
     for k in range(1, n + 1):
         if k > 1:
             for i in range(n):
                 work[i][i] += a_prev
         nxt = [
-            [sum(m[i][t] * work[t][j] for t in range(n)) for j in range(n)]
+            [sum(cartan[i][t] * work[t][j] for t in range(n)) for j in range(n)]
             for i in range(n)
         ]
         trace = sum(nxt[i][i] for i in range(n))
-        a_k = -trace / k
+        a_k = -trace // k
         coeffs.append(a_k)
         work = nxt
         a_prev = a_k
@@ -317,11 +345,17 @@ def ade_label(q: Quiver, shape: QuiverShape | None = None) -> str:
         raise InternalInconsistency(f"delta {shape.delta!r} matches no affine ADE diagram")
     rank = q.n - 1 if family != "E" else {3: 6, 4: 7, 6: 8}[top]
     label = f"{family}{rank}"
-    reference = extended_dynkin_quiver(label)
-    ref_shape = classify_shape(reference)
-    same_degrees = sorted(q.degree(v) for v in q.vertices) == sorted(
-        reference.degree(v) for v in reference.vertices
-    )
-    if not same_degrees or sorted(shape.delta) != sorted(ref_shape.delta) or q.n != reference.n:
+    if _signature(q, shape.delta) != _catalogue_signature(label):
         raise InternalInconsistency(f"shape of {q!r} does not match the {label} diagram")
     return label
+
+
+def _signature(q: Quiver, delta: DimVector) -> tuple:
+    return q.n, tuple(sorted(map(q.degree, q.vertices))), tuple(sorted(delta))
+
+
+@cache
+def _catalogue_signature(label: str) -> tuple:
+    """Vertex count, sorted degrees and sorted delta of a catalogue diagram, once per label."""
+    reference = extended_dynkin_quiver(label)
+    return _signature(reference, classify_shape(reference).delta)

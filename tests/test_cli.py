@@ -132,6 +132,31 @@ def test_caps_flag(capsys):
     assert rc == 3
 
 
+def test_sum_cap_from_environment(capsys, monkeypatch):
+    monkeypatch.setenv("QUIVERDEC_MAX_SUM", "1200")
+    rc, out, _ = run(capsys, "decompose", "--quiver", JORDAN, "--lambda", "0", "--alpha", "1200")
+    assert rc == 0
+    assert out.splitlines()[-1] == "formula: S^1200 N((0),(1))"
+
+
+@pytest.mark.parametrize("env", ["QUIVERDEC_MAX_BOX", "QUIVERDEC_MAX_SUM", "QUIVERDEC_MAX_STATES"])
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+def test_bad_cap_values_are_usage_errors(capsys, monkeypatch, env, value):
+    monkeypatch.setenv(env, value)
+    rc, out, err = run(capsys, "decompose", "--quiver", KRONECKER, "--lambda", "0,0", "--alpha", "1,1")
+    assert rc == 2 and out == ""
+    assert env in err and "positive integer" in err
+
+
+def test_caps_reject_nonpositive_limits(capsys):
+    for field in ("max_box_volume", "max_bound_sum", "max_states"):
+        for value in (0, -1):
+            with pytest.raises(qd.InvalidCaps, match=field):
+                qd.Caps(**{field: value})
+    rc, _, err = run(capsys, "roots", "--quiver", KRONECKER, "--bound", "1,1", "--max-box", "0")
+    assert rc == 2 and "max_box_volume" in err
+
+
 def test_verify_runs_clean(capsys):
     rc, out, _ = run(capsys, "verify", "--json")
     assert rc == 0

@@ -135,6 +135,17 @@ def test_kleinian_label_budget_fallback():
     assert report.to_json_dict()["terms"][0]["factor"] == "Kleinian(?)"
 
 
+def test_one_loop_far_past_the_default_sum_cap():
+    # every table is filled bottom-up, so no recursion limit bounds the vector
+    ctx = qd.LambdaContext(JORDAN, (0,), qd.Caps(max_bound_sum=1200))
+    report = qd.product_structure_report(ctx, (1200,))
+    assert [(t.multiplicity, t.sigma) for t in report.decomposition.terms] == [(1200, (1,))]
+    assert report.to_json_dict()["dimension"] == 2400
+    assert report.factors[0].describe() == "Kleinian(A0)"
+    assert report.formula == "S^1200 N((0),(1))"
+    assert qd.sigma_maximizer_count(ctx, (1200,)) == 1
+
+
 def test_isotropic_terms_indivisible(kron0):
     for alpha in [(2, 3), (3, 3), (4, 2)]:
         for t in qd.canonical_decompose(kron0, alpha).terms:

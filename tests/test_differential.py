@@ -1,0 +1,165 @@
+"""The Sigma-first engine against per-vector classification and the oracle.
+
+The box pass in ``positive_roots_upto`` and the tables behind Sigma, the
+norm, the best proper split and additive-closure membership are checked
+against the definitional paths, at boxes up to twice delta of the
+extended Dynkin quivers, where the oracle still enumerates quickly.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+import quiverdec as qd
+from quiverdec import oracle
+from quiverdec.root_system import iter_box
+
+EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
+EX4_WEIGHT = (0, 1, -2, 1)
+D4 = qd.extended_dynkin_quiver("D4")
+D4_DELTA = qd.classify_shape(D4).delta
+
+
+def _multiple(m, vec):
+    return tuple(m * x for x in vec)
+
+
+def _orthogonal_to_delta(delta, seed):
+    """A seeded rational weight orthogonal to delta, nonzero somewhere."""
+    rng = random.Random(seed)
+    lam = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in delta]
+    lam[-1] = -sum(x * d for x, d in zip(lam[:-1], delta)) / delta[-1]
+    assert any(lam) and qd.lambda_dot(lam, delta) == 0
+    return tuple(lam)
+
+
+@pytest.mark.parametrize(
+    "q, bound",
+    [
+        (qd.extended_dynkin_quiver("E6"), qd.classify_shape(qd.extended_dynkin_quiver("E6")).delta),
+        (D4, _multiple(2, D4_DELTA)),
+        (EX4, (2, 4, 3, 2)),
+        (qd.extended_dynkin_quiver("A2"), (3, 3, 3)),
+        (qd.extended_dynkin_quiver("A0"), (30,)),
+    ],
+    ids=["E6-delta", "D4-2delta", "ex4", "A2-333", "one-loop-30"],
+)
+def test_box_pass_matches_descent_and_oracle(q, bound):
+    caps = qd.Caps(max_bound_sum=30)
+    roots = qd.positive_roots_upto(q, bound, caps)
+    assert roots == tuple(a for a in iter_box(bound) if qd.classify_root(q, a).is_root)
+    assert set(roots) == oracle.positive_roots_in_box(q, bound, caps)
+
+
+def _oracle_answers(ctx, a):
+    """(member, norm, best proper split, Sigma) of ``a`` from the oracle's enumerations."""
+    decs = oracle.enumerate_decompositions(ctx, a)
+    sums = [(len(dec), sum(qd.p_form(ctx.quiver, part) for part in dec)) for dec in decs]
+    proper = [s for n, s in sums if n >= 2]
+    member = oracle.nr_member(ctx, a)
+    assert member == bool(decs)
+    return (
+        member,
+        max((s for _, s in sums), default=None),
+        max(proper, default=None),
+        oracle.sigma_member(ctx, a),
+    )
+
+
+def _engine_answers(ctx, a):
+    member = qd.in_N_R_lambda_plus(ctx, a)
+    norm = qd.norm_lambda(ctx, a) if member else None
+    return member, norm, qd.max_proper_sum_p(ctx, a), qd.in_sigma_lambda(ctx, a)
+
+
+D4_LAMBDA = _orthogonal_to_delta(D4_DELTA, seed=20261018)
+
+
+def _sample(bound, count, seed):
+    """Seeded vectors of the box, always including the bound itself."""
+    vectors = list(iter_box(bound))
+    return sorted(set(random.Random(seed).sample(vectors, count)) | {tuple(bound)})
+
+
+@pytest.mark.parametrize(
+    "q, lam, vectors",
+    [
+        (D4, (0,) * 5, list(iter_box(D4_DELTA))),
+        (D4, (0,) * 5, _sample(_multiple(2, D4_DELTA), 40, seed=5) + [D4_DELTA]),
+        (D4, D4_LAMBDA, list(iter_box(D4_DELTA))),
+        (D4, D4_LAMBDA, list(iter_box(_multiple(2, D4_DELTA)))),
+        (EX4, EX4_WEIGHT, list(iter_box((2, 4, 3, 2)))),
+    ],
+    ids=["D4-delta-0", "D4-2delta-0", "D4-delta-lam", "D4-2delta-lam", "ex4-paper"],
+)
+def test_engine_matches_oracle(q, lam, vectors):
+    ctx = qd.LambdaContext(q, lam)
+    octx = qd.LambdaContext(q, lam)
+    for a in vectors:
+        assert _engine_answers(ctx, a) == _oracle_answers(octx, a), a
+    bound = tuple(max(col) for col in zip(*vectors))
+    members = {b for b in qd.positive_roots_upto(q, bound) if oracle.sigma_member(octx, b)}
+    assert set(qd.sigma_lambda_upto(ctx, bound)) == members
+
+
+def _answers(ctx, a):
+    member = qd.in_N_R_lambda_plus(ctx, a)
+    canonical = qd.canonical_decompose(ctx, a).multiset() if member else None
+    return _engine_answers(ctx, a) + (canonical,)
+
+
+@pytest.mark.parametrize(
+    "q, lam, box",
+    [
+        (EX4, EX4_WEIGHT, (2, 4, 3, 2)),
+        (D4, (1, -1, 0, 1, -1), (2, 2, 2, 2, 2)),
+        (qd.extended_dynkin_quiver("A2"), (0, 0, 0), (3, 3, 3)),
+        (qd.Quiver(["0", "1"], [["0", "1"]] * 3), (0, 0), (4, 4)),
+    ],
+    ids=["ex4-paper", "D4-lam", "A2-zero", "3-kronecker-zero"],
+)
+def test_shared_memo_is_order_independent(q, lam, box):
+    vectors = list(iter_box(box))
+    fresh = {a: _answers(qd.LambdaContext(q, lam), a) for a in vectors}
+    for order in (vectors, vectors[::-1]):
+        ctx = qd.LambdaContext(q, lam)
+        assert {a: _answers(ctx, a) for a in order} == fresh
+
+
+def test_sigma_query_between_two_boxes():
+    # a box sweep grows the classified box by joins; a vector beyond a
+    # join that would break the caps gets a box of its own
+    ctx = qd.LambdaContext(qd.extended_dynkin_quiver("A0"), (0,), qd.Caps(max_bound_sum=10))
+    assert qd.sigma_lambda_upto(ctx, (6,)) == ((1,),)
+    assert qd.norm_lambda(ctx, (10,)) == 10
+    assert qd.in_sigma_lambda(ctx, (1,)) and not qd.in_sigma_lambda(ctx, (2,))
+    two = qd.LambdaContext(qd.Quiver(["a", "b"], []), (0, 0), qd.Caps(max_bound_sum=12))
+    for a in itertools.chain(((12, 0), (0, 12)), iter_box((3, 3))):
+        assert qd.in_N_R_lambda_plus(two, a)
+        assert qd.norm_lambda(two, a) == 0
+
+
+@pytest.mark.parametrize(
+    "q, lam, box",
+    [
+        (qd.extended_dynkin_quiver("A1"), (0, 0), (3, 3)),
+        (D4, (0,) * 5, D4_DELTA),
+        (EX4, EX4_WEIGHT, (2, 4, 3, 2)),
+    ],
+    ids=["kronecker-zero", "D4-delta-0", "ex4-paper"],
+)
+def test_table_counts_match_enumeration(q, lam, box):
+    # the norm table counts root decompositions attaining the norm, often
+    # more than one; the Sigma table counts maximizing Sigma multisets
+    ctx = qd.LambdaContext(q, lam)
+    norms, sigmas = ctx.norm_table(box), ctx.sigma_table(box)
+    for a in iter_box(box):
+        for table, decs in (
+            (norms, oracle.enumerate_decompositions(ctx, a)),
+            (sigmas, oracle.enumerate_sigma_decompositions(ctx, a)),
+        ):
+            sums = [sum(qd.p_form(q, part) for part in dec) for dec in decs]
+            assert table[a] == max(sums, default=None), a
+            assert table.count[table.index(a)] == (sums.count(table[a]) if decs else 0), a
