@@ -18,14 +18,7 @@ from pathlib import Path
 from . import oracle
 from .caps import Caps
 from .decomposer import product_structure_report
-from .errors import (
-    BudgetExhausted,
-    InvalidCaps,
-    NonUniqueMaximizer,
-    NotInNRLambdaPlus,
-    QuiverdecError,
-    ResourceLimit,
-)
+from .errors import InvalidCaps, QuiverdecError, ResourceLimit
 from .lambda_roots import LambdaContext, in_sigma_lambda, sigma_lambda_upto
 from .quiver_core import (
     Quiver,
@@ -288,7 +281,7 @@ def main(argv=None) -> int:
     except InvalidCaps as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (NotInNRLambdaPlus, NonUniqueMaximizer, BudgetExhausted, QuiverdecError, ValueError) as exc:
+    except (QuiverdecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .errors import InternalInconsistency, NotInNRLambdaPlus, SumMismatch
-from .lambda_roots import LambdaContext, in_sigma_lambda, norm_lambda, sigma_lambda_upto
+from .lambda_roots import LambdaContext, in_sigma_lambda, norm_lambda
 from .quiver_core import (
     DimVector,
     dim_vector,
@@ -87,12 +87,10 @@ def _maximal_sigma_multiset(ctx: LambdaContext, a: DimVector):
     """
     if any(e < 0 for e in a):
         raise NotInNRLambdaPlus(f"{a!r} has a negative entry")
-    elements = sigma_lambda_upto(ctx, a)
     table = ctx.sigma_table(a)
     if table[a] is None:
         raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots")
-    p_of = {e: p_form(ctx.quiver, e) for e in elements}
-    return table[a], table.count[table.index(a)], table.witness(a, p_of)
+    return table[a], table.count[table.index(a)], table.witness(a)
 
 
 def sigma_maximizer_count(ctx: LambdaContext, a: Sequence[int]) -> int:
@@ -289,7 +287,8 @@ def check_refinement(d1: Sequence[Sequence[int]], d2: Sequence[Sequence[int]]) -
 
     Both arguments are multisets of vectors; they must sum to the same
     total or SumMismatch is raised. The search is exact-cover style
-    backtracking with duplicate-part pruning.
+    backtracking with duplicate-part pruning, on an explicit stack so that
+    the number of parts is not limited by the recursion depth.
     """
     parts = sorted(tuple(int(x) for x in v) for v in d1)
     targets = sorted((tuple(int(x) for x in v) for v in d2), key=lambda t: (-sum(t), t))
@@ -301,31 +300,39 @@ def check_refinement(d1: Sequence[Sequence[int]], d2: Sequence[Sequence[int]]) -
     if total1 != total2:
         raise SumMismatch(f"sums differ: {total1!r} vs {total2!r}")
 
-    def pick(remaining: tuple, target, start: int, chosen: list, out: list) -> bool:
-        """Try every sub-multiset of ``remaining`` summing to ``target``."""
+    def branches(node):
+        """The nodes below one node of the search, in depth-first order.
+
+        A node is (remaining parts, rest of the current target, first index
+        still to try, indices chosen for the target, targets after it).
+        """
+        remaining, target, start, chosen, queue = node
         if not any(target):
-            rest = list(remaining)
-            for idx in sorted(chosen, reverse=True):
-                del rest[idx]
-            return cover(tuple(rest), out)
+            if queue:
+                dropped = set(chosen)
+                rest = tuple(p for i, p in enumerate(remaining) if i not in dropped)
+                yield rest, queue[0], 0, (), queue[1:]
+            return
         prev = None
         for idx in range(start, len(remaining)):
             part = remaining[idx]
             if part == prev:
                 continue  # identical parts give identical branches
-            if any(x > t for x, t in zip(part, target)):
-                prev = part
-                continue
-            chosen.append(idx)
-            if pick(remaining, tuple(t - x for t, x in zip(target, part)), idx + 1, chosen, out):
-                return True
-            chosen.pop()
             prev = part
-        return False
+            if any(x > t for x, t in zip(part, target)):
+                continue
+            yield remaining, tuple(t - x for t, x in zip(target, part)), idx + 1, chosen + (idx,), queue
 
-    def cover(remaining: tuple, queue: list) -> bool:
-        if not queue:
-            return not remaining
-        return pick(remaining, queue[0], 0, [], queue[1:])
-
-    return cover(tuple(parts), list(targets))
+    if not targets:
+        return not parts
+    stack = [iter([(tuple(parts), targets[0], 0, (), tuple(targets[1:]))])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        remaining, target, _, chosen, queue = node
+        if not any(target) and not queue and len(chosen) == len(remaining):
+            return True
+        stack.append(branches(node))
+    return False

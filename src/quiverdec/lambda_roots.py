@@ -39,8 +39,9 @@ class BoxTable:
     """Best p-sum over multisets of the added items, for each vector of a box.
 
     ``table[a]`` is None when no multiset sums to ``a``; ``count`` holds, by
-    mixed-radix index, how many attain the best. Adding an item is one
-    unbounded-knapsack pass, so each multiset is counted once.
+    mixed-radix index, how many attain the best; ``items`` maps each added
+    item to its p. Adding an item is one unbounded-knapsack pass, so each
+    multiset is counted once.
     """
 
     def __init__(self, bound: DimVector):
@@ -48,6 +49,7 @@ class BoxTable:
         size = self.index(bound) + 1
         self.best: list[int | None] = [0] + [None] * (size - 1)
         self.count = [1] + [0] * (size - 1)
+        self.items: dict[DimVector, int] = {}
 
     def index(self, a: Sequence[int]) -> int:
         return sum(x * s for x, s in zip(a, self.strides))
@@ -56,6 +58,7 @@ class BoxTable:
         return self.best[self.index(a)]
 
     def add(self, item: DimVector, p: int) -> None:
+        self.items[item] = p
         best, count, shift = self.best, self.count, self.index(item)
         rows = [0]  # first indices of the rows of vectors below bound - item, ascending
         for b, x, stride in zip(self.bound[:-1], item, self.strides):
@@ -72,11 +75,11 @@ class BoxTable:
                 elif value == current:
                     count[k] += count[j]
 
-    def witness(self, a: DimVector, items: dict[DimVector, int]) -> tuple[DimVector, ...]:
-        """One multiset attaining the best at ``a``, from the added ``items`` with their p."""
+    def witness(self, a: DimVector) -> tuple[DimVector, ...]:
+        """One multiset of the added items attaining the best at ``a``."""
         parts = []
         while any(a):
-            for item, p in items.items():
+            for item, p in self.items.items():
                 rest = tuple(x - y for x, y in zip(a, item))
                 if min(rest) >= 0 and self[rest] is not None and self[rest] + p == self[a]:
                     parts.append(item)
@@ -138,14 +141,11 @@ class LambdaContext:
         if "sigma" not in self._tables:
             table = self._tables["sigma"] = BoxTable(self._bound)
             for beta in self._roots:
-                self._split.setdefault(beta, table[beta])
-                if self._in_sigma(beta):
-                    table.add(beta, p_form(self.quiver, beta))
+                split = self._split.setdefault(beta, table[beta])
+                p = p_form(self.quiver, beta)
+                if split is None or split < p:
+                    table.add(beta, p)
         return self._tables["sigma"]
-
-    def _in_sigma(self, beta: DimVector) -> bool:
-        split = self._split[beta]
-        return split is None or split < p_form(self.quiver, beta)
 
     def norm_table(self, bound: Sequence[int]) -> BoxTable:
         """Best decompositions into all orthogonal roots, over a box containing ``bound``."""
@@ -207,10 +207,7 @@ def in_sigma_lambda(ctx: LambdaContext, a: Sequence[int]) -> bool:
     condition is vacuous.
     """
     a = dim_vector(ctx.quiver, a)
-    if not in_R_lambda_plus(ctx, a):
-        return False
-    ctx.sigma_table(a)
-    return ctx._in_sigma(a)
+    return in_R_lambda_plus(ctx, a) and a in ctx.sigma_table(a).items
 
 
 def sigma_lambda_upto(ctx: LambdaContext, bound: Sequence[int]) -> tuple[DimVector, ...]:
@@ -218,5 +215,4 @@ def sigma_lambda_upto(ctx: LambdaContext, bound: Sequence[int]) -> tuple[DimVect
     bound = dim_vector(ctx.quiver, bound)
     if any(b < 0 for b in bound):
         return ()
-    ctx.sigma_table(bound)
-    return tuple(sorted(b for b in ctx.orthogonal_roots_upto(bound) if ctx._in_sigma(b)))
+    return tuple(sorted(b for b in ctx.sigma_table(bound).items if _below(b, bound)))

@@ -301,7 +301,3 @@ def parse_rational(token) -> Fraction:
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"not a rational: {token!r}") from None
     raise ValueError(f"not a rational: {token!r}")
-
-
-def weight_from_json_list(q: Quiver, entries: Iterable) -> WeightVector:
-    return weight_vector(q, [parse_rational(e) for e in entries])

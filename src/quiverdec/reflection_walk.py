@@ -3,16 +3,17 @@
 Reflecting at a loopfree vertex acts on dimension vectors by the simple
 reflection and on weights by the dual reflection; the move is admissible
 when the weight is nonzero at that vertex. Sequences of admissible moves
-generate an equivalence on pairs, explored here by bounded breadth-first
-search: the class can be infinite, so every search carries a state budget
-and reports whether it exhausted the reachable set.
+generate an equivalence on pairs. One bounded breadth-first search,
+``_OrbitSearch``, explores a class for both :func:`normalize_pair` and
+:func:`fundamental_representative`: the class can be infinite, so the
+search carries a state budget and records whether it refused a state.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExhausted, InadmissibleStep
 from .quiver_core import (
@@ -70,7 +71,7 @@ def apply_sequence(
 
     Returns the final pair and the full trace, initial state included.
     """
-    state = PairState(weight_vector(q, pair.weight), dim_vector(q, pair.dim))
+    state = make_pair(q, pair.weight, pair.dim)
     trace = [TraceStep(None, state)]
     for pos, vertex in enumerate(seq):
         if not is_admissible(q, state, vertex):
@@ -87,8 +88,40 @@ class NormalizedPair:
     exhaustive: bool
 
 
-def _dim_key(state: PairState):
-    return (sum(state.dim), state.dim)
+class _OrbitSearch:
+    """Breadth-first search of the admissible class of a pair.
+
+    Admits at most ``budget`` states, the start included, with exact-state
+    deduplication, and hands out each admitted (state, sequence) in BFS
+    order, so every sequence is as short as possible. ``truncated`` records
+    whether an admission was refused; after the first refusal nothing more
+    can be admitted, so the search stops expanding and only hands out the
+    states already queued.
+    """
+
+    def __init__(self, q: Quiver, pair: PairState, budget: int):
+        self.q, self.budget, self.truncated = q, budget, budget <= 0
+        self.start = make_pair(q, pair.weight, pair.dim)
+
+    def __iter__(self) -> Iterator[tuple[PairState, tuple[str, ...]]]:
+        seen = {self.start}
+        queue = deque([] if self.truncated else [(self.start, ())])
+        while queue:
+            state, seq = queue.popleft()
+            yield state, seq
+            if self.truncated:
+                continue
+            for vertex in self.q.vertices:
+                if not is_admissible(self.q, state, vertex):
+                    continue
+                nxt = reflect_pair(self.q, state, vertex)
+                if nxt in seen:
+                    continue
+                if len(seen) >= self.budget:
+                    self.truncated = True
+                    break
+                seen.add(nxt)
+                queue.append((nxt, seq + (vertex,)))
 
 
 def normalize_pair(q: Quiver, pair: PairState, budget: int = 100_000) -> NormalizedPair:
@@ -96,73 +129,35 @@ def normalize_pair(q: Quiver, pair: PairState, budget: int = 100_000) -> Normali
 
     Breadth-first with exact-state deduplication, admitting at most
     ``budget`` states; ties in the total break lexicographically on the
-    dimension vector. The result is minimal among the states explored and
-    is flagged ``exhaustive`` only when the queue emptied within budget:
-    the class is infinite for many quivers, so global minimality is only
-    certified by that flag. A non-positive budget cannot admit even the
-    input and raises :class:`~quiverdec.errors.BudgetExhausted` carrying it.
+    dimension vector, then on the order of discovery. The result is minimal
+    among the states admitted and is flagged ``exhaustive`` only when no
+    admission was refused: the class is infinite for many quivers, so
+    global minimality is only certified by that flag. A non-positive budget
+    cannot admit even the input and raises
+    :class:`~quiverdec.errors.BudgetExhausted` carrying it.
     """
-    start = PairState(weight_vector(q, pair.weight), dim_vector(q, pair.dim))
+    search = _OrbitSearch(q, pair, budget)
     if budget <= 0:
         raise BudgetExhausted(
             "budget of 0 states cannot explore anything",
-            NormalizedPair(start, (), False),
+            NormalizedPair(search.start, (), False),
         )
-    best = NormalizedPair(start, (), True)
-    seen = {start}
-    queue = deque([(start, ())])
-    admitted = 1
-    truncated = False
-    while queue:
-        state, seq = queue.popleft()
-        if _dim_key(state) < _dim_key(best.state):
-            best = NormalizedPair(state, seq, True)
-        for vertex in q.vertices:
-            if not is_admissible(q, state, vertex):
-                continue
-            nxt = reflect_pair(q, state, vertex)
-            if nxt in seen:
-                continue
-            if admitted >= budget:
-                truncated = True
-                continue
-            seen.add(nxt)
-            admitted += 1
-            queue.append((nxt, seq + (vertex,)))
-    if truncated:
-        return NormalizedPair(best.state, best.sequence, False)
-    return best
+    state, seq = min(search, key=lambda found: (sum(found[0].dim), found[0].dim))
+    return NormalizedPair(state, seq, not search.truncated)
 
 
 def fundamental_representative(
     q: Quiver, pair: PairState, budget: int = 100_000
 ) -> tuple[PairState, tuple[str, ...]] | None:
-    """First reachable pair whose dimension lies in the fundamental region.
+    """First admitted pair whose dimension lies in the fundamental region.
 
-    Breadth-first, so the realizing sequence is as short as possible.
-    Returns None when the budget runs out or no such pair is reachable.
+    Breadth-first over at most ``budget`` states, so the realizing sequence
+    is as short as possible. Returns None only when no admitted pair lies in
+    the fundamental region: none is reachable, or the budget ran out first.
     """
-    start = PairState(weight_vector(q, pair.weight), dim_vector(q, pair.dim))
-    if budget <= 0:
-        return None
-    seen = {start}
-    queue = deque([(start, ())])
-    admitted = 1
-    while queue:
-        state, seq = queue.popleft()
+    for state, seq in _OrbitSearch(q, pair, budget):
         if all(e >= 0 for e in state.dim) and in_fundamental_region(q, state.dim):
             return state, seq
-        for vertex in q.vertices:
-            if not is_admissible(q, state, vertex):
-                continue
-            nxt = reflect_pair(q, state, vertex)
-            if nxt in seen:
-                continue
-            if admitted >= budget:
-                return None
-            seen.add(nxt)
-            admitted += 1
-            queue.append((nxt, seq + (vertex,)))
     return None
 
 

@@ -111,10 +111,10 @@ def classify_root(q: Quiver, a: Sequence[int]) -> RootClass:
         )
 
 
-def iter_box(bound: Sequence[int], include_zero: bool = False):
-    """Yield all componentwise-bounded nonnegative vectors, ascending lex."""
+def iter_box(bound: Sequence[int]):
+    """Yield all nonzero componentwise-bounded nonnegative vectors, ascending lex."""
     for vec in itertools.product(*(range(b + 1) for b in bound)):
-        if include_zero or any(vec):
+        if any(vec):
             yield vec
 
 

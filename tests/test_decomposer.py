@@ -175,3 +175,10 @@ def test_check_refinement_examples(kron0):
     with pytest.raises(SumMismatch):
         qd.check_refinement([delta], [(1, 1, 0)])
     assert qd.check_refinement([], [])
+
+
+def test_check_refinement_with_many_parts():
+    # the grouping search keeps its own stack, so a part count far past the
+    # recursion limit still gets an answer
+    assert qd.check_refinement([(1,)] * 1200, [(1200,)])
+    assert qd.check_refinement([(1,)] * 1200, [(1,)] * 1200)

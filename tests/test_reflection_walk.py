@@ -180,3 +180,80 @@ def test_strip_simple_iteration_terminates():
         steps += 1
     assert steps == 3  # (2,5) -> (2,2), then the fundamental region stops it
     assert pair.dim == (2, 2)
+
+
+# -- the one bounded orbit search ----------------------------------------------
+
+# a pair whose fundamental representative is admitted as the 144th state but
+# handed out only after an admission has been refused
+BOUNDARY = qd.make_pair(EX4, (Fraction(5, 27), Fraction(-5, 9), Fraction(-2, 3), 1), (3, 4, 2, 3))
+A2 = qd.dynkin_quiver("A2")
+
+
+def _reference_normalize(q, pair, budget):
+    """Breadth-first minimization kept independent of the library's search.
+
+    Returns (state, sequence, exhaustive, states admitted).
+    """
+    from collections import deque
+
+    from quiverdec.reflection_walk import is_admissible, reflect_pair
+
+    best, best_seq = pair, ()
+    seen = {pair}
+    queue = deque([(pair, ())])
+    truncated = False
+    while queue:
+        state, seq = queue.popleft()
+        if (sum(state.dim), state.dim) < (sum(best.dim), best.dim):
+            best, best_seq = state, seq
+        for vertex in q.vertices:
+            if not is_admissible(q, state, vertex):
+                continue
+            nxt = reflect_pair(q, state, vertex)
+            if nxt in seen:
+                continue
+            if len(seen) >= budget:
+                truncated = True
+                continue
+            seen.add(nxt)
+            queue.append((nxt, seq + (vertex,)))
+    return best, best_seq, not truncated, len(seen)
+
+
+def test_fundamental_representative_uses_states_queued_before_the_budget_ran_out():
+    unbounded = qd.fundamental_representative(EX4, BOUNDARY, budget=100_000)
+    assert unbounded is not None
+    assert unbounded[0].dim == (0, 1, 1, 1)
+    assert unbounded[1] == ("1", "2", "4", "3", "2", "1")
+    assert qd.fundamental_representative(EX4, BOUNDARY, budget=143) is None
+    assert qd.fundamental_representative(EX4, BOUNDARY, budget=144) == unbounded
+
+
+def test_both_searches_agree_at_equal_budgets():
+    for budget in (1, 50, 100, 142, 143, 144, 145, 237, 238, 1000):
+        found = qd.fundamental_representative(EX4, BOUNDARY, budget=budget)
+        res = qd.normalize_pair(EX4, BOUNDARY, budget=budget)
+        # the minimum of this class is the delta of the triangle, its only
+        # fundamental-region vector
+        if qd.in_fundamental_region(EX4, res.state.dim):
+            assert found == (res.state, res.sequence), budget
+        else:
+            assert found is None, budget
+
+
+def test_normalize_pair_exhaustive_exactly_at_the_class_size():
+    pair = qd.make_pair(A2, (1, 2), (1, 0))
+    *_, exhaustive, size = _reference_normalize(A2, pair, 10**6)
+    assert exhaustive and size == 6  # a generic weight has a free Weyl orbit
+    assert qd.normalize_pair(A2, pair, budget=size).exhaustive
+    assert not qd.normalize_pair(A2, pair, budget=size - 1).exhaustive
+
+
+def test_normalize_pair_matches_reference_at_every_small_budget():
+    pair = qd.make_pair(EX4, EX4_WEIGHT, (1, 3, 2, 1))
+    for budget in range(1, 61):
+        state, seq, exhaustive, _ = _reference_normalize(EX4, pair, budget)
+        assert qd.normalize_pair(EX4, pair, budget=budget) == qd.NormalizedPair(
+            state, seq, exhaustive
+        ), budget
