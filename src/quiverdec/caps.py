@@ -53,7 +53,7 @@ class Caps:
         total = sum(bound)
         if total > self.max_bound_sum:
             raise ResourceLimit(
-                f"bound sum {total} exceeds cap {self.max_bound_sum}"
+                f"bound sum {total} exceeds cap {self.max_bound_sum} (max_bound_sum, {ENV_MAX_SUM})"
             )
         volume = 1
         for b in bound:
@@ -61,6 +61,7 @@ class Caps:
         if volume > self.max_box_volume:
             raise ResourceLimit(
                 f"box volume {volume} exceeds cap {self.max_box_volume}"
+                f" (max_box_volume, {ENV_MAX_BOX}, --max-box)"
             )
 
 

@@ -267,10 +267,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_VECTOR_FLAGS = ("--lambda", "--alpha", "--bound")
+
+
+def _glue_vector_values(argv) -> list[str]:
+    """Write ``--lambda -1,1`` as ``--lambda=-1,1``: argparse reads ``-1,1`` as a flag."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in _VECTOR_FLAGS and tok[:1] == "-" and tok[1:2].isdigit():
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_vector_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -62,21 +62,6 @@ class CanonicalDecomposition:
             out.extend([t.sigma] * t.multiplicity)
         return tuple(sorted(out))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": list(self.total),
-            "norm": self.norm,
-            "terms": [
-                {
-                    "sigma": list(t.sigma),
-                    "m": t.multiplicity,
-                    "class": t.root_class.value,
-                    "p": t.p_value,
-                }
-                for t in self.terms
-            ],
-        }
-
 
 def _maximal_sigma_multiset(ctx: LambdaContext, a: DimVector):
     """Maximize the p-sum over multisets of Sigma members summing to ``a``.

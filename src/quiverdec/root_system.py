@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .caps import DEFAULT_CAPS, Caps
@@ -178,68 +178,39 @@ class QuiverShape:
         }
 
 
-def _char_poly_signs(cartan) -> list[int]:
-    """Elementary symmetric functions e_k of the eigenvalues, k = 1..n.
+def _radical(cartan) -> list[DimVector] | None:
+    """Primitive integer basis of the form's radical, or None unless semidefinite.
 
-    Faddeev-LeVerrier in integers, where every division by k is exact: the
-    matrix is symmetric with integer entries, so eigenvalues are real and
-    the e_k decide positive (semi)definiteness: all e_k > 0 iff positive
-    definite, all e_k >= 0 iff positive semidefinite.
+    Symmetric elimination over the rationals, pivoting on the diagonal in
+    vertex order. The form is positive semidefinite exactly when no pivot is
+    negative and every zero pivot has a zero row, so its sign and its radical
+    are one computation. Each zero pivot is a free index, and
+    back-substitution through the pivot rows gives its radical vector.
     """
     n = len(cartan)
-    work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    coeffs = []
-    a_prev = 0
-    for k in range(1, n + 1):
-        if k > 1:
-            for i in range(n):
-                work[i][i] += a_prev
-        nxt = [
-            [sum(cartan[i][t] * work[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        trace = sum(nxt[i][i] for i in range(n))
-        a_k = -trace // k
-        coeffs.append(a_k)
-        work = nxt
-        a_prev = a_k
-    # det(xI - M) = x^n + a_1 x^(n-1) + ... + a_n and e_k = (-1)^k a_k
-    return [(-1) ** k * a for k, a in enumerate(coeffs, start=1)]
-
-
-def _integer_kernel(cartan) -> list[DimVector]:
-    """Basis of the rational kernel, scaled to primitive integer vectors."""
-    n = len(cartan)
     m = [[Fraction(x) for x in row] for row in cartan]
-    pivots = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if m[r][col] != 0), None)
-        if pivot is None:
+    free = []
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot < 0 or (pivot == 0 and any(m[k][k + 1:])):
+            return None
+        if pivot == 0:
+            free.append(k)
             continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = 1 / m[row][col]
-        m[row] = [x * inv for x in m[row]]
-        for r in range(n):
-            if r != row and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-    free = [c for c in range(n) if c not in pivots]
+        for i in range(k + 1, n):
+            factor = m[i][k] / pivot
+            if factor:
+                m[i][k:] = [x - factor * y for x, y in zip(m[i][k:], m[k][k:])]
     basis = []
     for f in free:
         vec = [Fraction(0)] * n
         vec[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -m[r][f]
-        denom = 1
-        for x in vec:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
+        for k in reversed(range(f)):
+            if m[k][k]:
+                vec[k] = -sum(m[k][j] * vec[j] for j in range(k + 1, n)) / m[k][k]
+        denom = lcm(*(x.denominator for x in vec))
         ints = [int(x * denom) for x in vec]
-        g = 0
-        for x in ints:
-            g = gcd(g, abs(x))
+        g = gcd(*ints)
         basis.append(tuple(x // g for x in ints))
     return basis
 
@@ -249,24 +220,20 @@ def classify_shape(q: Quiver) -> QuiverShape:
 
     Dynkin means positive definite; extended Dynkin means positive
     semidefinite with a one-dimensional radical spanned by a strictly
-    positive primitive vector delta (computed from the exact kernel, never
+    positive primitive vector delta (computed from the exact radical, never
     from a lookup table). Disconnected or empty quivers report Other; use
     :func:`shape_components` for a per-component analysis.
     """
     if q.n == 0 or len(connected_components(q)) != 1:
         return QuiverShape(ShapeKind.OTHER)
-    e_k = _char_poly_signs(q.cartan_matrix())
-    if all(e > 0 for e in e_k):
+    radical = _radical(q.cartan_matrix())
+    if radical == []:
         return QuiverShape(ShapeKind.DYNKIN)
-    if all(e >= 0 for e in e_k):
-        kernel = _integer_kernel(q.cartan_matrix())
-        if len(kernel) == 1:
-            delta = kernel[0]
-            if all(x < 0 for x in delta):
-                delta = tuple(-x for x in delta)
-            if all(x > 0 for x in delta):
-                extending = tuple(v for v, d in zip(q.vertices, delta) if d == 1)
-                return QuiverShape(ShapeKind.EXTENDED_DYNKIN, delta, extending)
+    # the free entry of a radical vector is positive, so no sign flip is needed
+    if radical is not None and len(radical) == 1 and all(x > 0 for x in radical[0]):
+        delta = radical[0]
+        extending = tuple(v for v, d in zip(q.vertices, delta) if d == 1)
+        return QuiverShape(ShapeKind.EXTENDED_DYNKIN, delta, extending)
     return QuiverShape(ShapeKind.OTHER)
 
 

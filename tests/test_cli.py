@@ -118,6 +118,30 @@ def test_exit_codes(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--quiver", KRONECKER, "--lambda", "-1,1", "--alpha", "1,1"),
+    ("decompose", "--quiver", EX4, "--lambda", "-1/2,1,-2,3/2", "--alpha", "1,3,2,1", "--json"),
+    ("roots", "--quiver", KRONECKER, "--bound", "2,2", "--lambda", "-1,1"),
+    ("roots", "--quiver", KRONECKER, "--bound", "-1,2"),
+    ("classify", "--quiver", KRONECKER, "--alpha", "-1,0"),
+    ("sigma", "--quiver", EX4, "--lambda", "-1,1,0,0", "--alpha", "1,1,0,0"),
+])
+def test_negative_vector_values(capsys, argv):
+    glued = list(argv)
+    i = next(i for i, tok in enumerate(glued) if tok[:1] == "-" and tok[1:2].isdigit())
+    glued[i - 1:i + 1] = [f"{glued[i - 1]}={glued[i]}"]
+    rc, out, err = run(capsys, *argv)
+    assert "expected one argument" not in err
+    assert (rc, out) == run(capsys, *glued)[:2]
+
+
+def test_resource_limits_name_the_setting(capsys):
+    rc, _, err = run(capsys, "roots", "--quiver", KRONECKER, "--bound", "30,30")
+    assert rc == 3 and "(max_bound_sum, QUIVERDEC_MAX_SUM)" in err
+    rc, _, err = run(capsys, "roots", "--quiver", KRONECKER, "--bound", "3,3", "--max-box", "4")
+    assert rc == 3 and "(max_box_volume, QUIVERDEC_MAX_BOX, --max-box)" in err
+
+
 def test_json_determinism(capsys):
     args = ("decompose", "--quiver", EX4, "--lambda", "0,1,-2,1", "--alpha", "1,4,3,2", "--json")
     _, first, _ = run(capsys, *args)

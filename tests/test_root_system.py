@@ -1,9 +1,15 @@
+import random
+from fractions import Fraction
+from math import gcd
+
 import pytest
 
 import quiverdec as qd
 from quiverdec import RootClass, ShapeKind
 from quiverdec.errors import ResourceLimit
 from quiverdec.caps import Caps
+from quiverdec.quiver_core import connected_components
+from quiverdec.root_system import _radical
 
 KRONECKER = qd.extended_dynkin_quiver("A1")
 JORDAN = qd.extended_dynkin_quiver("A0")
@@ -81,7 +87,7 @@ def test_positive_roots_caps():
 
 
 DYNKIN_DELTAS = {
-    # classical deltas, used only as a cross-check of the kernel computation
+    # classical deltas, used only as a cross-check of the radical computation
     "A1": (1, 1),
     "A2": (1, 1, 1),
     "A3": (1, 1, 1, 1),
@@ -156,3 +162,119 @@ def test_extended_dynkin_positive_roots_structure():
             rest = tuple(x - m * d for x, d in zip(beta, delta))
             assert any(rest), beta
             assert qd.classify_root(q, rest).is_root, beta
+
+
+# -- the elimination behind classify_shape, against the two routines it replaced
+
+
+def _reference_char_poly_signs(cartan):
+    """Elementary symmetric functions of the eigenvalues, by Faddeev-LeVerrier."""
+    n = len(cartan)
+    work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    coeffs = []
+    a_prev = 0
+    for k in range(1, n + 1):
+        if k > 1:
+            for i in range(n):
+                work[i][i] += a_prev
+        nxt = [[sum(cartan[i][t] * work[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
+        a_prev = -sum(nxt[i][i] for i in range(n)) // k
+        coeffs.append(a_prev)
+        work = nxt
+    return [(-1) ** k * a for k, a in enumerate(coeffs, start=1)]
+
+
+def _reference_integer_kernel(cartan):
+    """Primitive integer basis of the kernel, by reduced row echelon form."""
+    n = len(cartan)
+    m = [[Fraction(x) for x in row] for row in cartan]
+    pivots = []
+    for col in range(n):
+        row = len(pivots)
+        pivot = next((r for r in range(row, n) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[row], m[pivot] = m[pivot], m[row]
+        inv = 1 / m[row][col]
+        m[row] = [x * inv for x in m[row]]
+        for r in range(n):
+            if r != row and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[row])]
+        pivots.append(col)
+    basis = []
+    for f in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -m[r][f]
+        denom = 1
+        for x in vec:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        ints = [int(x * denom) for x in vec]
+        g = 0
+        for x in ints:
+            g = gcd(g, abs(x))
+        basis.append(tuple(x // g for x in ints))
+    return basis
+
+
+def _reference_shape(q):
+    """(kind, delta, extending) from the characteristic polynomial, then the kernel."""
+    if q.n == 0 or len(connected_components(q)) != 1:
+        return ShapeKind.OTHER, None, None
+    e_k = _reference_char_poly_signs(q.cartan_matrix())
+    if all(e > 0 for e in e_k):
+        return ShapeKind.DYNKIN, None, None
+    if all(e >= 0 for e in e_k):
+        kernel = _reference_integer_kernel(q.cartan_matrix())
+        if len(kernel) == 1:
+            delta = kernel[0]
+            if all(x < 0 for x in delta):
+                delta = tuple(-x for x in delta)
+            if all(x > 0 for x in delta):
+                extending = tuple(v for v, d in zip(q.vertices, delta) if d == 1)
+                return ShapeKind.EXTENDED_DYNKIN, delta, extending
+    return ShapeKind.OTHER, None, None
+
+
+def _catalogue():
+    names = [f"A{r}" for r in range(9)] + [f"D{r}" for r in range(4, 10)] + ["E6", "E7", "E8"]
+    quivers = [qd.extended_dynkin_quiver(name) for name in names]
+    return quivers + [qd.dynkin_quiver(name) for name in names if name != "A0"]
+
+
+def _random_quivers(count, seed):
+    """Quivers on 1-7 vertices with loops, parallel arrows and disconnected pieces."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        vertices = [str(i) for i in range(rng.randint(1, 7))]
+        arrows = [
+            [rng.choice(vertices), rng.choice(vertices)]
+            for _ in range(rng.randint(0, len(vertices) + 2))
+        ]
+        out.append(qd.Quiver(vertices, arrows))
+    return out
+
+
+def test_shape_elimination_matches_reference_routines():
+    quivers = _catalogue() + _random_quivers(5000, seed=20261018)
+    kinds = set()
+    for q in quivers:
+        shape = qd.classify_shape(q)
+        assert (shape.kind, shape.delta, shape.extending) == _reference_shape(q), q
+        kinds.add(shape.kind)
+        if shape.kind is ShapeKind.EXTENDED_DYNKIN:
+            for v in q.vertices:
+                assert qd.bilinear_form(q, shape.delta, qd.coordinate_vector(q, v)) == 0, (q, v)
+    assert kinds == set(ShapeKind)
+
+
+def test_radical_rejects_indefinite_and_reads_semidefinite_forms():
+    assert _radical(K3.cartan_matrix()) is None  # pivots 2, then 2 - 9/2 < 0
+    assert _radical(((0, -1), (-1, 2))) is None  # a zero pivot with a nonzero row
+    assert _radical(((-2,),)) is None  # two loops
+    assert _radical(A2.cartan_matrix()) == []
+    assert _radical(KRONECKER.cartan_matrix()) == [(1, 1)]
+    assert _radical(qd.Quiver(["a", "b"], [["a", "a"], ["b", "b"]]).cartan_matrix()) == [(1, 0), (0, 1)]
