@@ -74,6 +74,7 @@ from .reflection_walk import (
     NormalizedPair,
     PairState,
     apply_sequence,
+    descend,
     dual_reflection,
     fundamental_representative,
     is_admissible,

@@ -289,15 +289,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ResourceLimit as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except InvalidCaps as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (QuiverdecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 3 if isinstance(exc, ResourceLimit) else 2 if isinstance(exc, InvalidCaps) else 1
 
 
 def entry() -> None:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import InternalInconsistency, NotInNRLambdaPlus, SumMismatch
-from .lambda_roots import LambdaContext, in_sigma_lambda, norm_lambda
+from .errors import InternalInconsistency, NotInNRLambdaPlus, ResourceLimit, SumMismatch
+from .lambda_roots import LambdaContext, _reduce_over_cap, in_sigma_lambda, norm_lambda
 from .quiver_core import (
     DimVector,
     dim_vector,
@@ -26,13 +26,14 @@ from .quiver_core import (
     weight_entry_to_json,
     weight_to_json_list,
 )
-from .reflection_walk import PairState, fundamental_representative
+from .reflection_walk import PairState, apply_sequence, descend
 from .root_system import (
     RootClass,
     ShapeKind,
     ade_label,
     classify_root,
     classify_shape,
+    in_fundamental_region,
 )
 
 
@@ -89,11 +90,19 @@ def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomp
     Asserts internally that the maximizing multiset is unique, that its
     p-sum agrees with the norm over all orthogonal-root decompositions,
     and that multiplicities above one only occur on terms with p <= 1;
-    any violation raises InternalInconsistency since it would contradict
-    guarantees the construction is built on.
+    any violation raises InternalInconsistency. A pair the caps refuse is
+    decomposed after admissible descent, its terms reflected back.
     """
     a = dim_vector(ctx.quiver, a)
-    best, count, witness = _maximal_sigma_multiset(ctx, a)
+    try:
+        best, count, witness = _maximal_sigma_multiset(ctx, a)
+    except ResourceLimit as error:
+        low, reduced, seq = _reduce_over_cap(ctx, a, error)
+        found = canonical_decompose(low, reduced)
+        terms = sorted(
+            (t._replace(sigma=apply_sequence(ctx.quiver, PairState(low.weight, t.sigma), seq[::-1])[0].dim)
+             for t in found.terms), key=lambda t: (-t.p_value, t.sigma))
+        return CanonicalDecomposition(tuple(terms), a, found.norm)
     if count != 1:
         raise InternalInconsistency(
             f"{count} maximizing multisets for {a!r}; expected exactly one"
@@ -138,8 +147,8 @@ class Factor:
     """How one term of the decomposition contributes to the product.
 
     ``kind`` is "Point" for real terms, "Kleinian" for isotropic ones
-    (with the ADE type in ``label`` when the normalization search
-    succeeds), and "NonIsotropicBlock" otherwise. The dimension
+    (with the ADE type in ``label`` unless the descent path exceeds
+    ``caps.max_states``), and "NonIsotropicBlock" otherwise. The dimension
     contribution is ``2 * multiplicity * p``.
     """
 
@@ -189,18 +198,17 @@ class ProductReport:
 def kleinian_label(ctx: LambdaContext, sigma: Sequence[int]) -> str | None:
     """ADE type of the Kleinian factor attached to an isotropic Sigma member.
 
-    Normalizes the (weight, sigma) pair to one whose dimension vector lies
-    in the fundamental region; its support quiver must then be extended
-    Dynkin with the vector equal to its delta. Returns None when the
-    bounded search gives out before reaching the fundamental region.
+    A zero-weight loopfree vertex pairing positively with a Sigma member would
+    split off its coordinate vector at no loss of p, so admissible descent
+    ends in the fundamental region, at the delta of an extended Dynkin
+    support. None when the path has more than ``caps.max_states`` states.
     """
     sigma = dim_vector(ctx.quiver, sigma)
-    found = fundamental_representative(
-        ctx.quiver, PairState(ctx.weight, sigma), budget=ctx.caps.max_states
-    )
-    if found is None:
+    state, seq = descend(ctx.quiver, PairState(ctx.weight, sigma))
+    if len(seq) >= ctx.caps.max_states:
         return None
-    state, _ = found
+    if not in_fundamental_region(ctx.quiver, state.dim):
+        raise InternalInconsistency(f"descent of {sigma!r} ends outside the fundamental region")
     supp = support(ctx.quiver, state.dim)
     sub = restrict(ctx.quiver, supp)
     shape = classify_shape(sub)
@@ -227,8 +235,8 @@ def product_structure_report(ctx: LambdaContext, a: Sequence[int]) -> ProductRep
     """Classify every factor and render the product formula.
 
     Real terms contribute points and are rendered once as a trailing
-    "point"; isotropic terms come with symmetric powers and, when the
-    normalization search succeeds, an ADE label; non-isotropic terms are
+    "point"; isotropic terms come with symmetric powers and an ADE label
+    (None past ``caps.max_states`` descent states); non-isotropic terms are
     single unsymmetrized blocks. The empty decomposition renders "point".
     """
     decomposition = canonical_decompose(ctx, a)

@@ -28,6 +28,7 @@ from .quiver_core import (
     weight_vector,
     zero_vector,
 )
+from .reflection_walk import PairState, descend
 from .root_system import box_strides, classify_root, positive_roots_upto
 
 
@@ -157,6 +158,20 @@ class LambdaContext:
         return self._tables["norm"]
 
 
+def _reduce_over_cap(ctx: LambdaContext, a: DimVector, error: ResourceLimit):
+    """(context, vector, steps) after the admissible descent of ``a``, which the caps refused.
+
+    Admissible reflections map orthogonal roots onto orthogonal roots and keep p, so the
+    answers carry over and a negative entry certifies non-membership.
+    """
+    state, seq = descend(ctx.quiver, PairState(ctx.weight, a))
+    if not seq:
+        raise error
+    if min(state.dim) < 0:
+        raise NotInNRLambdaPlus(f"{a!r} reflects along {','.join(seq)} to {state.dim!r}")
+    return LambdaContext(ctx.quiver, state.weight, ctx.caps), state.dim, seq
+
+
 def in_R_lambda_plus(ctx: LambdaContext, a: Sequence[int]) -> bool:
     """Positive root orthogonal to the weight?"""
     a = dim_vector(ctx.quiver, a)
@@ -172,7 +187,13 @@ def in_N_R_lambda_plus(ctx: LambdaContext, a: Sequence[int]) -> bool:
     "m * delta - a for every m" can call this without pre-filtering.
     """
     a = dim_vector(ctx.quiver, a)
-    return all(e >= 0 for e in a) and ctx.sigma_table(a)[a] is not None
+    try:
+        return all(e >= 0 for e in a) and ctx.sigma_table(a)[a] is not None
+    except ResourceLimit as error:
+        try:
+            return in_N_R_lambda_plus(*_reduce_over_cap(ctx, a, error)[:2])
+        except NotInNRLambdaPlus:
+            return False
 
 
 def norm_lambda(ctx: LambdaContext, a: Sequence[int]) -> int:
@@ -180,7 +201,10 @@ def norm_lambda(ctx: LambdaContext, a: Sequence[int]) -> int:
     a = dim_vector(ctx.quiver, a)
     if any(e < 0 for e in a):
         raise NotInNRLambdaPlus(f"{a!r} has a negative entry")
-    best = ctx.norm_table(a)[a]
+    try:
+        best = ctx.norm_table(a)[a]
+    except ResourceLimit as error:
+        return norm_lambda(*_reduce_over_cap(ctx, a, error)[:2])
     if best is None:
         raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots")
     return best

@@ -161,6 +161,20 @@ def fundamental_representative(
     return None
 
 
+def descend(q: Quiver, pair: PairState) -> tuple[PairState, tuple[str, ...]]:
+    """Reflect at the first admissible vertex pairing positively until none is left.
+
+    Stops early at a negative entry; each step lowers the total, so it ends.
+    """
+    state, seq = make_pair(q, pair.weight, pair.dim), ()
+    while min(state.dim, default=0) >= 0:
+        down = [v for v in q.vertices if is_admissible(q, state, v) and pairing_with_simple(q, state.dim, v) > 0]
+        if not down:
+            break
+        state, seq = reflect_pair(q, state, down[0]), seq + (down[0],)
+    return state, seq
+
+
 def strip_simple(q: Quiver, pair: PairState) -> tuple[str, PairState] | None:
     """Peel one coordinate vector where the weight vanishes.
 
@@ -169,17 +183,10 @@ def strip_simple(q: Quiver, pair: PairState) -> tuple[str, PairState] | None:
     None when no vertex qualifies. Iterating this terminates since each
     step lowers the total dimension by one.
     """
-    lam = weight_vector(q, pair.weight)
-    a = dim_vector(q, pair.dim)
-    for vertex in q.vertices:
-        if not q.is_loopfree(vertex):
-            continue
-        if lam[q.index(vertex)] != 0:
-            continue
-        if pairing_with_simple(q, a, vertex) > 0:
-            i = q.index(vertex)
-            reduced = tuple(e - 1 if j == i else e for j, e in enumerate(a))
-            return vertex, PairState(lam, reduced)
+    pair = make_pair(q, pair.weight, pair.dim)
+    for i, vertex in enumerate(q.vertices):
+        if q.is_loopfree(vertex) and pair.weight[i] == 0 and pairing_with_simple(q, pair.dim, vertex) > 0:
+            return vertex, pair._replace(dim=tuple(e - 1 if j == i else e for j, e in enumerate(pair.dim)))
     return None
 
 

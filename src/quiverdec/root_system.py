@@ -84,31 +84,26 @@ def classify_root(q: Quiver, a: Sequence[int]) -> RootClass:
 
     loopfree = [v for v in q.vertices if q.is_loopfree(v)]
     while True:
-        if sum(a) == 1:
-            # coordinate vector; at a loop vertex it sits in the fundamental region
-            if q.is_loopfree(q.vertices[a.index(1)]):
-                return RootClass.REAL
-        descended = False
-        for v in loopfree:
-            if pairing_with_simple(q, a, v) > 0:
-                a = simple_reflection(q, v, a)
-                descended = True
-                break
-        if descended:
-            if any(e < 0 for e in a):
-                return RootClass.NOT_ROOT
-            continue
-        # no descent available: fundamental region or disconnected support
-        if not has_connected_support(q, a):
+        # real at a loopfree vertex; at a loop vertex it sits in the fundamental region
+        if sum(a) == 1 and q.is_loopfree(q.vertices[a.index(1)]):
+            return RootClass.REAL
+        v = next((v for v in loopfree if pairing_with_simple(q, a, v) > 0), None)
+        if v is None:
+            break
+        a = simple_reflection(q, v, a)
+        if any(e < 0 for e in a):
             return RootClass.NOT_ROOT
-        p = p_form(q, a)
-        if p == 1:
-            return RootClass.ISOTROPIC_IMAGINARY
-        if p > 1:
-            return RootClass.NONISOTROPIC_IMAGINARY
-        raise InternalInconsistency(
-            f"vector {a!r} stuck in descent with p={p}; the fundamental region has p >= 1"
-        )
+    # no descent available: fundamental region or disconnected support
+    if not has_connected_support(q, a):
+        return RootClass.NOT_ROOT
+    p = p_form(q, a)
+    if p == 1:
+        return RootClass.ISOTROPIC_IMAGINARY
+    if p > 1:
+        return RootClass.NONISOTROPIC_IMAGINARY
+    raise InternalInconsistency(
+        f"vector {a!r} stuck in descent with p={p}; the fundamental region has p >= 1"
+    )
 
 
 def iter_box(bound: Sequence[int]):

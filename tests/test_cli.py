@@ -142,6 +142,21 @@ def test_resource_limits_name_the_setting(capsys):
     assert rc == 3 and "(max_box_volume, QUIVERDEC_MAX_BOX, --max-box)" in err
 
 
+def test_over_cap_decompose_answers_after_descent(capsys):
+    rc, out, _ = run(capsys, "decompose", "--quiver", EX4, "--lambda", "0,1,-2,1", "--alpha", "4,12,8,4")
+    assert rc == 0
+    assert out.splitlines() == [
+        "alpha: [4, 12, 8, 4]",
+        "dimension: 0",
+        "  4 x (1, 3, 2, 1)  class=Real  p=0  factor=Point",
+        "formula: point",
+    ]
+    rc, out, err = run(capsys, "decompose", "--quiver", EX4, "--lambda", "0,1,-2,1", "--alpha", "0,30,0,0")
+    assert rc == 1 and out == "" and "(0, -30, 0, 0)" in err
+    rc, out, err = run(capsys, "decompose", "--quiver", EX4, "--lambda", "0,0,0,0", "--alpha", "4,12,8,4")
+    assert rc == 3 and out == "" and "(max_bound_sum, QUIVERDEC_MAX_SUM)" in err
+
+
 def test_json_determinism(capsys):
     args = ("decompose", "--quiver", EX4, "--lambda", "0,1,-2,1", "--alpha", "1,4,3,2", "--json")
     _, first, _ = run(capsys, *args)

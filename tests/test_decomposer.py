@@ -135,6 +135,51 @@ def test_kleinian_label_budget_fallback():
     assert report.to_json_dict()["terms"][0]["factor"] == "Kleinian(?)"
 
 
+def test_kleinian_label_budget_counts_the_descent_path():
+    # one reflection: a path of two states, the start included
+    lam = (1, -1, 1, -1)
+    assert qd.descend(EX4, qd.make_pair(EX4, lam, (1, 1, 1, 1)))[1] == ("1",)
+    assert qd.kleinian_label(qd.LambdaContext(EX4, lam, qd.Caps(max_states=2)), (1, 1, 1, 1)) == "A2"
+
+
+def test_kleinian_label_rejects_a_descent_stuck_at_a_zero_weight():
+    # (1,1,1,1) at weight 0 is isotropic but not in Sigma: it splits off e_1
+    ctx = qd.LambdaContext(EX4, (0, 0, 0, 0))
+    assert not qd.in_sigma_lambda(ctx, (1, 1, 1, 1))
+    with pytest.raises(qd.InternalInconsistency, match="outside the fundamental region"):
+        qd.kleinian_label(ctx, (1, 1, 1, 1))
+
+
+def test_over_cap_pair_decomposed_after_descent():
+    # sum 28 exceeds the default cap 24; four admissible reflections reach (0,0,0,4)
+    ctx = qd.LambdaContext(EX4, EX4_WEIGHT)
+    report = qd.product_structure_report(ctx, (4, 12, 8, 4))
+    assert [(t.multiplicity, t.sigma, t.root_class, t.p_value) for t in report.decomposition.terms] == [
+        (4, (1, 3, 2, 1), RootClass.REAL, 0)
+    ]
+    assert [f.describe() for f in report.factors] == ["Point"]
+    assert report.formula == "point" and report.decomposition.norm == 0
+    assert qd.in_N_R_lambda_plus(ctx, (4, 12, 8, 4))
+    assert qd.norm_lambda(ctx, (4, 12, 8, 4)) == 0 == qd.dimension_of_N(ctx, (4, 12, 8, 4))
+
+
+def test_over_cap_pair_descending_to_a_negative_entry_is_not_a_member():
+    ctx = qd.LambdaContext(EX4, EX4_WEIGHT)
+    with pytest.raises(NotInNRLambdaPlus, match=r"reflects along 2 to \(0, -30, 0, 0\)"):
+        qd.canonical_decompose(ctx, (0, 30, 0, 0))
+    with pytest.raises(NotInNRLambdaPlus):
+        qd.norm_lambda(ctx, (0, 30, 0, 0))
+    assert not qd.in_N_R_lambda_plus(ctx, (0, 30, 0, 0))
+
+
+def test_over_cap_pair_at_weight_zero_is_still_refused():
+    # no vertex is admissible at weight 0, so nothing reduces the box
+    ctx = qd.LambdaContext(EX4, (0, 0, 0, 0))
+    for query in (qd.canonical_decompose, qd.norm_lambda, qd.in_N_R_lambda_plus):
+        with pytest.raises(qd.ResourceLimit, match="max_bound_sum"):
+            query(ctx, (4, 12, 8, 4))
+
+
 def test_one_loop_far_past_the_default_sum_cap():
     # every table is filled bottom-up, so no recursion limit bounds the vector
     ctx = qd.LambdaContext(JORDAN, (0,), qd.Caps(max_bound_sum=1200))

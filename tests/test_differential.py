@@ -13,7 +13,10 @@ from fractions import Fraction
 import pytest
 
 import quiverdec as qd
+from corpus import build_corpus
 from quiverdec import oracle
+from quiverdec.errors import InadmissibleStep
+from quiverdec.quiver_core import pairing_with_simple, restrict_vector
 from quiverdec.root_system import iter_box
 
 EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
@@ -163,3 +166,134 @@ def test_table_counts_match_enumeration(q, lam, box):
             sums = [sum(qd.p_form(q, part) for part in dec) for dec in decs]
             assert table[a] == max(sums, default=None), a
             assert table.count[table.index(a)] == (sums.count(table[a]) if decs else 0), a
+
+
+# -- admissible descent against the breadth-first search and the direct path ----
+
+TRIANGLE_DELTA = (0, 1, 1, 1)
+
+
+def _bfs_label(ctx, sigma):
+    """(fundamental-region vector, Kleinian label) as the breadth-first orbit search gives them."""
+    found = qd.fundamental_representative(ctx.quiver, qd.PairState(ctx.weight, sigma), budget=100_000)
+    assert found is not None, (ctx.weight, sigma)
+    dim = found[0].dim
+    supp = qd.support(ctx.quiver, dim)
+    sub = qd.restrict(ctx.quiver, supp)
+    shape = qd.classify_shape(sub)
+    assert shape.kind is qd.ShapeKind.EXTENDED_DYNKIN
+    assert restrict_vector(ctx.quiver, dim, supp) == shape.delta
+    return dim, qd.ade_label(sub, shape)
+
+
+def _reflected_isotropic_pair(target, rng):
+    """The pair at ``target`` reached from a generic weight at the triangle's delta.
+
+    The weight at the delta is orthogonal to it; the word is a random Kac
+    descent from ``target`` down to the delta, replayed upwards.
+    """
+    word, a = [], target
+    while a != TRIANGLE_DELTA:
+        v = rng.choice([v for v in EX4.vertices if pairing_with_simple(EX4, a, v) > 0])
+        a = qd.simple_reflection(EX4, v, a)
+        word.append(v)
+    while True:
+        x, y, u = (Fraction(rng.choice((-1, 1)) * rng.randint(1, 97), rng.randint(1, 89)) for _ in range(3))
+        try:
+            state, _ = qd.apply_sequence(EX4, qd.make_pair(EX4, (u, x, y, -(x + y)), TRIANGLE_DELTA), word[::-1])
+        except InadmissibleStep:
+            continue
+        assert state.dim == target
+        return state
+
+
+def _isotropic_label_cases():
+    cases = {}
+    for name, q, lam, alpha, ctx in build_corpus(minimum=200):
+        for t in qd.canonical_decompose(ctx, alpha).terms:
+            if t.root_class is qd.RootClass.ISOTROPIC_IMAGINARY:
+                cases[(name, lam, t.sigma)] = (ctx, t.sigma)
+    for name in ("D4", "A2"):
+        q = qd.extended_dynkin_quiver(name)
+        delta = qd.classify_shape(q).delta
+        cases[(name, (0,) * q.n, delta)] = (qd.LambdaContext(q, (0,) * q.n), delta)
+    rng = random.Random(505)
+    for target in ((1, 5, 3, 3), (3, 4, 2, 3), (3, 4, 3, 2)):
+        for _ in range(2):
+            state = _reflected_isotropic_pair(target, rng)
+            cases[("ex4-reflected", state.weight, target)] = (qd.LambdaContext(EX4, state.weight), target)
+    return list(cases.values())
+
+
+def test_descent_labels_match_the_orbit_search():
+    cases = _isotropic_label_cases()
+    reflected = 0
+    for ctx, sigma in cases:
+        state, seq = qd.descend(ctx.quiver, qd.PairState(ctx.weight, sigma))
+        assert (state.dim, qd.kleinian_label(ctx, sigma)) == _bfs_label(ctx, sigma), (ctx.weight, sigma)
+        reflected += len(seq) >= 6
+    assert len(cases) >= 16 and reflected == 6
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except qd.NotInNRLambdaPlus:
+        return "not a member"
+
+
+def _reduced_cap(ctx, alpha):
+    """A sum cap that refuses ``alpha``'s box but admits its descent; None without one."""
+    state, seq = qd.descend(ctx.quiver, qd.PairState(ctx.weight, alpha))
+    cap = sum(state.dim) if min(state.dim) >= 0 else sum(alpha) - 1
+    if not seq or cap < 1:
+        return None
+    with pytest.raises(qd.ResourceLimit):
+        qd.Caps(max_bound_sum=cap).check_box(alpha)
+    return qd.Caps(max_bound_sum=cap)
+
+
+def test_reduced_path_matches_the_direct_path_on_the_corpus():
+    checked = 0
+    for name, q, lam, alpha, ctx in build_corpus(minimum=200):
+        caps = _reduced_cap(ctx, alpha)
+        if caps is None:
+            continue
+        capped = qd.LambdaContext(q, lam, caps)
+        direct, reduced = qd.product_structure_report(ctx, alpha), qd.product_structure_report(capped, alpha)
+        assert reduced.decomposition == direct.decomposition, (name, lam, alpha)
+        assert (reduced.formula, reduced.factors) == (direct.formula, direct.factors), (name, lam, alpha)
+        assert qd.in_N_R_lambda_plus(capped, alpha) and qd.norm_lambda(capped, alpha) == direct.decomposition.norm
+        checked += 1
+    assert checked >= 16
+
+
+@pytest.mark.parametrize(
+    "q, lam, box",
+    [
+        (EX4, EX4_WEIGHT, (2, 4, 3, 2)),
+        (qd.extended_dynkin_quiver("A2"), (1, 2, -3), (3, 3, 3)),
+        (D4, _orthogonal_to_delta(D4_DELTA, 11), _multiple(2, D4_DELTA)),
+    ],
+    ids=["ex4-paper", "A2-weighted", "D4-weighted"],
+)
+def test_reduced_membership_and_norm_match_the_direct_path(q, lam, box):
+    # non-members included: some descend to a negative entry, some to a non-member
+    ctx = qd.LambdaContext(q, lam)
+    checked = negative = 0
+    for alpha in iter_box(box):
+        caps = _reduced_cap(ctx, alpha)
+        if caps is None:
+            continue
+        capped = qd.LambdaContext(q, lam, caps)
+        member = qd.in_N_R_lambda_plus(ctx, alpha)
+        assert qd.in_N_R_lambda_plus(capped, alpha) == member, alpha
+        assert _outcome(qd.norm_lambda, capped, alpha) == _outcome(qd.norm_lambda, ctx, alpha), alpha
+        if member:
+            assert qd.canonical_decompose(capped, alpha) == qd.canonical_decompose(ctx, alpha), alpha
+        else:
+            with pytest.raises(qd.NotInNRLambdaPlus):
+                qd.canonical_decompose(capped, alpha)
+        checked += 1
+        negative += min(qd.descend(q, qd.PairState(ctx.weight, alpha))[0].dim) < 0
+    assert checked >= 20 and negative >= 1

@@ -120,3 +120,43 @@ def test_positive_roots_box_restriction(q):
     small_roots = set(qd.positive_roots_upto(q, small))
     big_roots = qd.positive_roots_upto(q, big)
     assert small_roots == {b for b in big_roots if all(x <= 1 for x in b)}
+
+
+_EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
+_D4 = qd.extended_dynkin_quiver("D4")
+_A2 = qd.extended_dynkin_quiver("A2")
+# decomposable pairs at nonzero weights, small enough to decompose directly
+_WEIGHTED_PAIRS = [
+    (_EX4, (0, 1, -2, 1), (1, 3, 2, 1)),
+    (_EX4, (0, 1, -2, 1), (1, 4, 3, 2)),
+    (_EX4, (0, 1, -1, 0), (1, 2, 2, 2)),
+    (_A2, (1, 2, -3), (1, 1, 1)),
+    (_A2, (1, -1, 0), (2, 2, 2)),
+    (_D4, (1, -1, 0, 1, -1), (2, 1, 2, 1, 2)),
+    (_D4, (1, -1, 0, 1, -1), (2, 2, 4, 2, 2)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_WEIGHTED_PAIRS), st.lists(st.integers(0, 4), max_size=5))
+def test_decomposition_equivariant_through_the_reduced_path(case, picks):
+    # random admissible moves carry the canonical decomposition term by term;
+    # the moved pair is decomposed under a sum cap that only its descent fits
+    q, lam, alpha = case
+    base = qd.canonical_decompose(qd.LambdaContext(q, lam), alpha)
+    pair, seq = qd.make_pair(q, lam, alpha), []
+    for k in picks:
+        admissible = [v for v in q.vertices if qd.is_admissible(q, pair, v)]
+        if admissible:
+            seq.append(admissible[k % len(admissible)])
+            pair = qd.reflect_pair(q, pair, seq[-1])
+    assert min(pair.dim) >= 0
+    low, _ = qd.descend(q, pair)
+    caps = qd.Caps(max_bound_sum=max(sum(low.dim), 1))
+    ctx = qd.LambdaContext(q, pair.weight, caps)
+    moved = [t._replace(sigma=qd.apply_sequence(q, qd.make_pair(q, lam, t.sigma), seq)[0].dim)
+             for t in base.terms]
+    dec = qd.canonical_decompose(ctx, pair.dim)
+    assert dec.terms == tuple(sorted(moved, key=lambda t: (-t.p_value, t.sigma)))
+    assert (dec.total, dec.norm) == (pair.dim, base.norm)
+    assert qd.in_N_R_lambda_plus(ctx, pair.dim) and qd.norm_lambda(ctx, pair.dim) == base.norm

@@ -159,6 +159,22 @@ def test_fundamental_representative_examples():
     assert qd.fundamental_representative(EX4, qd.make_pair(EX4, EX4_WEIGHT, (1, 3, 2, 1)), budget=200) is None
 
 
+def test_descend_examples():
+    # each step is admissible and lowers the total; the last pair has no admissible descent
+    state, seq = qd.descend(EX4, qd.make_pair(EX4, EX4_WEIGHT, (4, 12, 8, 4)))
+    assert (state.dim, seq) == ((0, 0, 0, 4), ("2", "1", "3", "2"))
+    _, trace = qd.apply_sequence(EX4, qd.make_pair(EX4, EX4_WEIGHT, (4, 12, 8, 4)), seq)
+    assert [sum(step.state.dim) for step in trace] == [28, 20, 16, 8, 4]
+    assert trace[-1].state == state
+    assert not any(qd.is_admissible(EX4, state, v) and qd.bilinear_form(EX4, state.dim, qd.coordinate_vector(EX4, v)) > 0
+                   for v in EX4.vertices)
+    # it stops at the first negative entry, and takes no step at weight 0
+    state, seq = qd.descend(EX4, qd.make_pair(EX4, EX4_WEIGHT, (0, 30, 0, 0)))
+    assert (state.dim, seq) == ((0, -30, 0, 0), ("2",))
+    pair = qd.make_pair(EX4, (0, 0, 0, 0), (4, 12, 8, 4))
+    assert qd.descend(EX4, pair) == (pair, ())
+
+
 def test_strip_simple_examples():
     kron0 = qd.make_pair(KRONECKER, (0, 0), (2, 3))
     vertex, reduced = qd.strip_simple(KRONECKER, kron0)
