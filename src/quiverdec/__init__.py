@@ -41,6 +41,7 @@ from .errors import (
     InvalidCaps,
     NonUniqueMaximizer,
     NotInNRLambdaPlus,
+    NotIsotropicSigma,
     QuiverdecError,
     ResourceLimit,
     SumMismatch,

@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import InternalInconsistency, NotInNRLambdaPlus, ResourceLimit, SumMismatch
-from .lambda_roots import LambdaContext, _reduce_over_cap, in_sigma_lambda, norm_lambda
+from .errors import InternalInconsistency, NotInNRLambdaPlus, NotIsotropicSigma, SumMismatch
+from .lambda_roots import LambdaContext, in_sigma_lambda, norm_lambda
 from .quiver_core import (
     DimVector,
     dim_vector,
@@ -65,15 +65,11 @@ class CanonicalDecomposition:
 
 
 def _maximal_sigma_multiset(ctx: LambdaContext, a: DimVector):
-    """Maximize the p-sum over multisets of Sigma members summing to ``a``.
+    """(best p-sum, count, one witness) of Sigma multisets summing to ``a``, in the box of ``ctx``.
 
-    Returns (best p-sum, number of maximizing multisets, one witness),
-    read from the context's counting table of Sigma multisets. Raises
-    NotInNRLambdaPlus when ``a`` has no such expression.
+    Read from the counting Sigma table; NotInNRLambdaPlus when no multiset sums to ``a``.
     """
-    if any(e < 0 for e in a):
-        raise NotInNRLambdaPlus(f"{a!r} has a negative entry")
-    table = ctx.sigma_table(a)
+    table = ctx._table("sigma")
     if table[a] is None:
         raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots")
     return table[a], table.count[table.index(a)], table.witness(a)
@@ -81,7 +77,7 @@ def _maximal_sigma_multiset(ctx: LambdaContext, a: DimVector):
 
 def sigma_maximizer_count(ctx: LambdaContext, a: Sequence[int]) -> int:
     """How many Sigma multisets attain the maximal p-sum; expected 1."""
-    return _maximal_sigma_multiset(ctx, dim_vector(ctx.quiver, a))[1]
+    return _maximal_sigma_multiset(*ctx.resolve(a)[:2])[1]
 
 
 def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomposition:
@@ -90,24 +86,17 @@ def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomp
     Asserts internally that the maximizing multiset is unique, that its
     p-sum agrees with the norm over all orthogonal-root decompositions,
     and that multiplicities above one only occur on terms with p <= 1;
-    any violation raises InternalInconsistency. A pair the caps refuse is
-    decomposed after admissible descent, its terms reflected back.
+    any violation raises InternalInconsistency. Runs on the pair that
+    ``ctx.resolve`` gives; after a descent the terms are reflected back.
     """
     a = dim_vector(ctx.quiver, a)
-    try:
-        best, count, witness = _maximal_sigma_multiset(ctx, a)
-    except ResourceLimit as error:
-        low, reduced, seq = _reduce_over_cap(ctx, a, error)
-        found = canonical_decompose(low, reduced)
-        terms = sorted(
-            (t._replace(sigma=apply_sequence(ctx.quiver, PairState(low.weight, t.sigma), seq[::-1])[0].dim)
-             for t in found.terms), key=lambda t: (-t.p_value, t.sigma))
-        return CanonicalDecomposition(tuple(terms), a, found.norm)
+    low, b, seq = ctx.resolve(a)
+    best, count, witness = _maximal_sigma_multiset(low, b)
     if count != 1:
         raise InternalInconsistency(
-            f"{count} maximizing multisets for {a!r}; expected exactly one"
+            f"{count} maximizing multisets for {b!r}; expected exactly one"
         )
-    if best != norm_lambda(ctx, a):
+    if best != norm_lambda(low, b):
         raise InternalInconsistency(
             f"maximal p-sum over Sigma multisets ({best}) disagrees with the norm"
         )
@@ -116,7 +105,7 @@ def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomp
         counts[part] = counts.get(part, 0) + 1
     terms = []
     for sigma, mult in counts.items():
-        if not in_sigma_lambda(ctx, sigma):
+        if not in_sigma_lambda(low, sigma):
             raise InternalInconsistency(f"term {sigma!r} fails the Sigma test")
         cls = classify_root(ctx.quiver, sigma)
         p = p_form(ctx.quiver, sigma)
@@ -124,6 +113,8 @@ def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomp
             raise InternalInconsistency(
                 f"non-isotropic term {sigma!r} appears with multiplicity {mult}"
             )
+        if seq:  # reflections keep the root class and p
+            sigma = apply_sequence(ctx.quiver, PairState(low.weight, sigma), seq[::-1])[0].dim
         terms.append(Term(sigma, mult, cls, p))
     terms.sort(key=lambda t: (-t.p_value, t.sigma))
     return CanonicalDecomposition(tuple(terms), a, best)
@@ -201,23 +192,24 @@ def kleinian_label(ctx: LambdaContext, sigma: Sequence[int]) -> str | None:
     A zero-weight loopfree vertex pairing positively with a Sigma member would
     split off its coordinate vector at no loss of p, so admissible descent
     ends in the fundamental region, at the delta of an extended Dynkin
-    support. None when the path has more than ``caps.max_states`` states.
+    support. None when the path has more than ``caps.max_states`` states;
+    NotIsotropicSigma when its end shows ``sigma`` is no isotropic Sigma member.
     """
     sigma = dim_vector(ctx.quiver, sigma)
     state, seq = descend(ctx.quiver, PairState(ctx.weight, sigma))
     if len(seq) >= ctx.caps.max_states:
         return None
     if not in_fundamental_region(ctx.quiver, state.dim):
-        raise InternalInconsistency(f"descent of {sigma!r} ends outside the fundamental region")
+        raise NotIsotropicSigma(f"descent of {sigma!r} ends outside the fundamental region")
     supp = support(ctx.quiver, state.dim)
     sub = restrict(ctx.quiver, supp)
     shape = classify_shape(sub)
     if shape.kind is not ShapeKind.EXTENDED_DYNKIN:
-        raise InternalInconsistency(
+        raise NotIsotropicSigma(
             f"fundamental representative {state.dim!r} has support of kind {shape.kind.value}"
         )
     if restrict_vector(ctx.quiver, state.dim, supp) != shape.delta:
-        raise InternalInconsistency(
+        raise NotIsotropicSigma(
             f"fundamental representative {state.dim!r} is not the delta of its support"
         )
     return ade_label(sub, shape)

@@ -23,6 +23,10 @@ class NotInNRLambdaPlus(QuiverdecError, ValueError):
     """The vector is not a sum of positive roots orthogonal to the weight."""
 
 
+class NotIsotropicSigma(QuiverdecError, ValueError):
+    """The vector is not an isotropic Sigma member, where the query needs one."""
+
+
 class InternalInconsistency(QuiverdecError):
     """A structural guarantee the algorithms rely on failed to hold.
 

@@ -132,44 +132,53 @@ class LambdaContext:
         self._cover(bound)
         return tuple(b for b in self._roots if _below(b, bound))
 
-    def sigma_table(self, bound: Sequence[int]) -> BoxTable:
-        """Best Sigma multisets, with their counts, over a box containing ``bound``.
+    def resolve(self, a: Sequence[int]) -> tuple[LambdaContext, DimVector, tuple[str, ...]]:
+        """(context, vector, reflections) that a vector query on ``a`` runs on, the box covering it.
 
-        Roots are decided by (entry sum, lex): a root's entry is its best
-        proper split, and a root that beats it joins Sigma and the table.
+        Itself, ``a`` and () when the caps admit a box containing ``a``; else the pair's admissible
+        descent, which keeps orthogonal roots and p. A negative entry, given or reached, raises
+        NotInNRLambdaPlus; a descent with no step, as at weight 0, re-raises the caps' refusal.
         """
+        a = dim_vector(self.quiver, a)
+        if any(e < 0 for e in a):
+            raise NotInNRLambdaPlus(f"{a!r} has a negative entry")
+        try:
+            self._cover(a)
+            return self, a, ()
+        except ResourceLimit:
+            state, seq = descend(self.quiver, PairState(self.weight, a))
+            if not seq:
+                raise
+        if min(state.dim) < 0:
+            raise NotInNRLambdaPlus(f"{a!r} reflects along {','.join(seq)} to {state.dim!r}")
+        low = LambdaContext(self.quiver, state.weight, self.caps)
+        low._cover(state.dim)
+        return low, state.dim, seq
+
+    def sigma_table(self, bound: Sequence[int]) -> BoxTable:
+        """Best Sigma multisets, with their counts, over a box containing ``bound``."""
         self._cover(dim_vector(self.quiver, bound))
-        if "sigma" not in self._tables:
-            table = self._tables["sigma"] = BoxTable(self._bound)
-            for beta in self._roots:
-                split = self._split.setdefault(beta, table[beta])
-                p = p_form(self.quiver, beta)
-                if split is None or split < p:
-                    table.add(beta, p)
-        return self._tables["sigma"]
+        return self._table("sigma")
 
     def norm_table(self, bound: Sequence[int]) -> BoxTable:
         """Best decompositions into all orthogonal roots, over a box containing ``bound``."""
         self._cover(dim_vector(self.quiver, bound))
-        if "norm" not in self._tables:
-            table = self._tables["norm"] = BoxTable(self._bound)
+        return self._table("norm")
+
+    def _table(self, kind: str) -> BoxTable:
+        """The "sigma" or "norm" table of the classified box, built on first use.
+
+        The norm table adds every root. Sigma decides roots by (entry sum, lex): a root's
+        entry is its best proper split, and a root that beats it joins Sigma and the table.
+        """
+        if kind not in self._tables:
+            table = self._tables[kind] = BoxTable(self._bound)
             for beta in self._roots:
-                table.add(beta, p_form(self.quiver, beta))
-        return self._tables["norm"]
-
-
-def _reduce_over_cap(ctx: LambdaContext, a: DimVector, error: ResourceLimit):
-    """(context, vector, steps) after the admissible descent of ``a``, which the caps refused.
-
-    Admissible reflections map orthogonal roots onto orthogonal roots and keep p, so the
-    answers carry over and a negative entry certifies non-membership.
-    """
-    state, seq = descend(ctx.quiver, PairState(ctx.weight, a))
-    if not seq:
-        raise error
-    if min(state.dim) < 0:
-        raise NotInNRLambdaPlus(f"{a!r} reflects along {','.join(seq)} to {state.dim!r}")
-    return LambdaContext(ctx.quiver, state.weight, ctx.caps), state.dim, seq
+                split = None if kind == "norm" else self._split.setdefault(beta, table[beta])
+                p = p_form(self.quiver, beta)
+                if split is None or split < p:
+                    table.add(beta, p)
+        return self._tables[kind]
 
 
 def in_R_lambda_plus(ctx: LambdaContext, a: Sequence[int]) -> bool:
@@ -186,25 +195,17 @@ def in_N_R_lambda_plus(ctx: LambdaContext, a: Sequence[int]) -> bool:
     Vectors with a negative entry are never members, so sweeps like
     "m * delta - a for every m" can call this without pre-filtering.
     """
-    a = dim_vector(ctx.quiver, a)
     try:
-        return all(e >= 0 for e in a) and ctx.sigma_table(a)[a] is not None
-    except ResourceLimit as error:
-        try:
-            return in_N_R_lambda_plus(*_reduce_over_cap(ctx, a, error)[:2])
-        except NotInNRLambdaPlus:
-            return False
+        ctx, a, _ = ctx.resolve(a)
+    except NotInNRLambdaPlus:
+        return False
+    return ctx._table("sigma")[a] is not None
 
 
 def norm_lambda(ctx: LambdaContext, a: Sequence[int]) -> int:
     """Maximal p-sum over decompositions into orthogonal positive roots."""
-    a = dim_vector(ctx.quiver, a)
-    if any(e < 0 for e in a):
-        raise NotInNRLambdaPlus(f"{a!r} has a negative entry")
-    try:
-        best = ctx.norm_table(a)[a]
-    except ResourceLimit as error:
-        return norm_lambda(*_reduce_over_cap(ctx, a, error)[:2])
+    ctx, a, _ = ctx.resolve(a)
+    best = ctx._table("norm")[a]
     if best is None:
         raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots")
     return best
@@ -215,12 +216,12 @@ def max_proper_sum_p(ctx: LambdaContext, a: Sequence[int]) -> int | None:
 
     None when no such decomposition exists, e.g. for coordinate vectors.
     """
-    a = dim_vector(ctx.quiver, a)
-    if any(e < 0 for e in a) or all(e == 0 for e in a):
+    try:
+        ctx, a, _ = ctx.resolve(a)
+    except NotInNRLambdaPlus:
         return None
-    best = ctx.sigma_table(a)[a]
     # an orthogonal root's one-part decomposition is not proper
-    return ctx._split.get(a, best)
+    return ctx._split.get(a, ctx._table("sigma")[a]) if any(a) else None
 
 
 def in_sigma_lambda(ctx: LambdaContext, a: Sequence[int]) -> bool:
@@ -228,10 +229,19 @@ def in_sigma_lambda(ctx: LambdaContext, a: Sequence[int]) -> bool:
 
     The defining inequality is strict and quantifies over decompositions
     into two or more orthogonal positive roots; with no proper split the
-    condition is vacuous.
+    condition is vacuous. Read from the resolved pair's Sigma table, whose
+    items are the Sigma members of its box. Sigma lies in the orthogonal
+    roots, so a vector outside the classified box that is not one answers
+    False without a box, whatever the caps.
     """
     a = dim_vector(ctx.quiver, a)
-    return in_R_lambda_plus(ctx, a) and a in ctx.sigma_table(a).items
+    if not _below(a, ctx._bound) and not in_R_lambda_plus(ctx, a):
+        return False
+    try:
+        ctx, a, _ = ctx.resolve(a)
+    except NotInNRLambdaPlus:
+        return False
+    return a in ctx._table("sigma").items
 
 
 def sigma_lambda_upto(ctx: LambdaContext, bound: Sequence[int]) -> tuple[DimVector, ...]:

@@ -216,8 +216,7 @@ def classify_shape(q: Quiver) -> QuiverShape:
     Dynkin means positive definite; extended Dynkin means positive
     semidefinite with a one-dimensional radical spanned by a strictly
     positive primitive vector delta (computed from the exact radical, never
-    from a lookup table). Disconnected or empty quivers report Other; use
-    :func:`shape_components` for a per-component analysis.
+    from a lookup table). Disconnected or empty quivers report Other.
     """
     if q.n == 0 or len(connected_components(q)) != 1:
         return QuiverShape(ShapeKind.OTHER)
@@ -230,13 +229,6 @@ def classify_shape(q: Quiver) -> QuiverShape:
         extending = tuple(v for v, d in zip(q.vertices, delta) if d == 1)
         return QuiverShape(ShapeKind.EXTENDED_DYNKIN, delta, extending)
     return QuiverShape(ShapeKind.OTHER)
-
-
-def shape_components(q: Quiver):
-    """Shape of each connected component, as (vertices, shape) pairs."""
-    from .quiver_core import restrict
-
-    return [(comp, classify_shape(restrict(q, comp))) for comp in connected_components(q)]
 
 
 # -- the affine ADE catalogue -------------------------------------------------

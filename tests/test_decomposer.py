@@ -143,11 +143,17 @@ def test_kleinian_label_budget_counts_the_descent_path():
 
 
 def test_kleinian_label_rejects_a_descent_stuck_at_a_zero_weight():
-    # (1,1,1,1) at weight 0 is isotropic but not in Sigma: it splits off e_1
-    ctx = qd.LambdaContext(EX4, (0, 0, 0, 0))
-    assert not qd.in_sigma_lambda(ctx, (1, 1, 1, 1))
-    with pytest.raises(qd.InternalInconsistency, match="outside the fundamental region"):
-        qd.kleinian_label(ctx, (1, 1, 1, 1))
+    # none of these is an isotropic Sigma member at weight 0: a caller's error, exit 1
+    for q, sigma, message in (
+        (EX4, (1, 1, 1, 1), "outside the fundamental region"),  # isotropic, splits off e_1
+        (KRONECKER, (2, 2), "not the delta of its support"),  # twice delta
+        (KRONECKER, (1, 0), "outside the fundamental region"),  # real
+    ):
+        ctx = qd.LambdaContext(q, (0,) * q.n)
+        assert not qd.in_sigma_lambda(ctx, sigma) or qd.classify_root(q, sigma) is RootClass.REAL
+        with pytest.raises(qd.NotIsotropicSigma, match=message) as raised:
+            qd.kleinian_label(ctx, sigma)
+        assert isinstance(raised.value, ValueError)
 
 
 def test_over_cap_pair_decomposed_after_descent():

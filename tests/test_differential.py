@@ -14,7 +14,7 @@ import pytest
 
 import quiverdec as qd
 from corpus import build_corpus
-from quiverdec import oracle
+from quiverdec import cli, oracle
 from quiverdec.errors import InadmissibleStep
 from quiverdec.quiver_core import pairing_with_simple, restrict_vector
 from quiverdec.root_system import iter_box
@@ -253,6 +253,12 @@ def _reduced_cap(ctx, alpha):
     return qd.Caps(max_bound_sum=cap)
 
 
+def _sigma_answers(ctx, alpha):
+    """Sigma membership, best proper split and maximizer count, through whichever path ``ctx`` takes."""
+    return (qd.in_sigma_lambda(ctx, alpha), qd.max_proper_sum_p(ctx, alpha),
+            _outcome(qd.sigma_maximizer_count, ctx, alpha))
+
+
 def test_reduced_path_matches_the_direct_path_on_the_corpus():
     checked = 0
     for name, q, lam, alpha, ctx in build_corpus(minimum=200):
@@ -264,23 +270,25 @@ def test_reduced_path_matches_the_direct_path_on_the_corpus():
         assert reduced.decomposition == direct.decomposition, (name, lam, alpha)
         assert (reduced.formula, reduced.factors) == (direct.formula, direct.factors), (name, lam, alpha)
         assert qd.in_N_R_lambda_plus(capped, alpha) and qd.norm_lambda(capped, alpha) == direct.decomposition.norm
+        assert _sigma_answers(capped, alpha) == _sigma_answers(ctx, alpha), (name, lam, alpha)
         checked += 1
     assert checked >= 16
 
 
 @pytest.mark.parametrize(
-    "q, lam, box",
+    "q, lam, box, sigma_members",
     [
-        (EX4, EX4_WEIGHT, (2, 4, 3, 2)),
-        (qd.extended_dynkin_quiver("A2"), (1, 2, -3), (3, 3, 3)),
-        (D4, _orthogonal_to_delta(D4_DELTA, 11), _multiple(2, D4_DELTA)),
+        (EX4, EX4_WEIGHT, (2, 4, 3, 2), 2),
+        (qd.extended_dynkin_quiver("A2"), (1, 2, -3), (3, 3, 3), 0),
+        (D4, _orthogonal_to_delta(D4_DELTA, 11), _multiple(2, D4_DELTA), 1),
     ],
     ids=["ex4-paper", "A2-weighted", "D4-weighted"],
 )
-def test_reduced_membership_and_norm_match_the_direct_path(q, lam, box):
-    # non-members included: some descend to a negative entry, some to a non-member
+def test_reduced_membership_and_norm_match_the_direct_path(q, lam, box, sigma_members):
+    # non-members included: some descend to a negative entry, some to a non-member;
+    # ``sigma_members`` counts the Sigma members among the reduced vectors
     ctx = qd.LambdaContext(q, lam)
-    checked = negative = 0
+    checked = negative = sigma = 0
     for alpha in iter_box(box):
         caps = _reduced_cap(ctx, alpha)
         if caps is None:
@@ -289,6 +297,8 @@ def test_reduced_membership_and_norm_match_the_direct_path(q, lam, box):
         member = qd.in_N_R_lambda_plus(ctx, alpha)
         assert qd.in_N_R_lambda_plus(capped, alpha) == member, alpha
         assert _outcome(qd.norm_lambda, capped, alpha) == _outcome(qd.norm_lambda, ctx, alpha), alpha
+        assert _sigma_answers(capped, alpha) == _sigma_answers(ctx, alpha), alpha
+        sigma += qd.in_sigma_lambda(ctx, alpha)
         if member:
             assert qd.canonical_decompose(capped, alpha) == qd.canonical_decompose(ctx, alpha), alpha
         else:
@@ -296,4 +306,27 @@ def test_reduced_membership_and_norm_match_the_direct_path(q, lam, box):
                 qd.canonical_decompose(capped, alpha)
         checked += 1
         negative += min(qd.descend(q, qd.PairState(ctx.weight, alpha))[0].dim) < 0
-    assert checked >= 20 and negative >= 1
+    assert checked >= 20 and negative >= 1 and sigma == sigma_members
+
+
+def test_sigma_queries_on_an_over_cap_weighted_pair(capsys):
+    # (7,10,6,5), entry sum 28, is reflected from the triangle's delta; the
+    # default sum cap 24 refuses its box, so every Sigma query answers after descent
+    lam = (Fraction(-167, 77), Fraction(-1467, 1001), Fraction(169, 77), Fraction(3337, 1001))
+    alpha = (7, 10, 6, 5)
+    ctx, direct = qd.LambdaContext(EX4, lam), qd.LambdaContext(EX4, lam, qd.Caps(max_bound_sum=28))
+    assert _sigma_answers(ctx, alpha) == (True, None, 1) == _sigma_answers(direct, alpha)
+    assert qd.product_structure_report(ctx, alpha).formula == f"N(({','.join(map(str, lam))}),(7,10,6,5))"
+    ex4 = qd.fixture_path("ex4.json")
+    weight = "--lambda=" + ",".join(map(str, lam))
+    assert cli.main(["sigma", "--quiver", ex4, weight, "--alpha", "7,10,6,5"]) == 0
+    assert capsys.readouterr().out == "true\n"
+    # at weight 0 nothing reduces: an orthogonal root over the cap is still refused,
+    # a vector that is not a root is still answered without a box
+    kronecker = qd.fixture_path("kronecker.json")
+    assert cli.main(["sigma", "--quiver", kronecker, "--lambda", "0,0", "--alpha", "13,14"]) == 3
+    assert "(max_bound_sum, QUIVERDEC_MAX_SUM)" in capsys.readouterr().err
+    assert cli.main(["decompose", "--quiver", ex4, "--lambda", "0,0,0,0", "--alpha", "4,12,8,4"]) == 3
+    assert "(max_bound_sum, QUIVERDEC_MAX_SUM)" in capsys.readouterr().err
+    assert cli.main(["sigma", "--quiver", ex4, "--lambda", "0,0,0,0", "--alpha", "4,12,8,4"]) == 0
+    assert capsys.readouterr().out == "false\n"

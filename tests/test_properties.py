@@ -1,10 +1,13 @@
 """Property tests for the algebraic identities the package relies on."""
 
+import json
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import quiverdec as qd
+from quiverdec import cli
 
 
 @st.composite
@@ -160,3 +163,100 @@ def test_decomposition_equivariant_through_the_reduced_path(case, picks):
     assert dec.terms == tuple(sorted(moved, key=lambda t: (-t.p_value, t.sigma)))
     assert (dec.total, dec.norm) == (pair.dim, base.norm)
     assert qd.in_N_R_lambda_plus(ctx, pair.dim) and qd.norm_lambda(ctx, pair.dim) == base.norm
+
+
+# -- the command line never ends in a traceback ---------------------------------
+
+# (path, vertex count) of each bundled fixture
+_FIXTURES = [(qd.fixture_path(name), qd.load_fixture(name).n)
+             for name in ("a2.json", "ex4.json", "jordan.json", "kronecker.json")]
+_CAP_ENV = ("QUIVERDEC_MAX_BOX", "QUIVERDEC_MAX_SUM", "QUIVERDEC_MAX_STATES")
+_JUNK = ["", " ", "x", "1/0", "1/2", "-1/3", "1.5", "1e3", "0x1", "+2", "--json"]
+# cap values stay at or below the defaults: a raised cap would let a huge box be enumerated
+_cap_values = st.one_of(st.integers(1, 24).map(str), st.integers(1, 24).map(str),
+                        st.sampled_from(["", "abc", "-1", "0", "1.5", "1/0", " 7 "]))
+_number = st.integers(-3, 12).map(str)
+_entry = st.one_of(_number, st.sampled_from(_JUNK))
+_huge = st.integers(10**6, 10**30).map(str)
+
+
+def _csv(draw, entry, n):
+    """Comma-separated entries: mostly ``n`` numbers, else the wrong length or junk."""
+    size = draw(st.sampled_from([n, n, n, 0, 1, n + 1]))
+    entry = draw(st.sampled_from([_number, _number, entry]))
+    return ",".join(draw(entry) for _ in range(size))
+
+
+@st.composite
+def _quiver_json(draw):
+    """(text, vertex count) of a random quiver file, valid or not."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        q = draw(quivers())
+        return json.dumps({"vertices": list(q.vertices), "arrows": [list(a) for a in q.arrows]}), q.n
+    if kind == 1:
+        leaf = st.one_of(st.none(), st.integers(-2, 3), st.text("ab", max_size=2))
+        value = st.recursive(leaf, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+        text = json.dumps(draw(st.dictionaries(st.sampled_from(["vertices", "arrows", "x"]), value)))
+    else:
+        text = draw(st.text(max_size=20))
+    return text, draw(st.integers(0, 4))
+
+
+@st.composite
+def _invocation(draw):
+    """(argv, quiver text): a command line, mostly malformed, and either no text (the
+    quiver is a fixture) or the text to write to a file in place of ``QUIVER``."""
+    if draw(st.booleans()):
+        (path, n), text = draw(st.sampled_from(_FIXTURES)), None
+    else:
+        (text, n), path = draw(_quiver_json()), "QUIVER"
+    vector = _csv(draw, _entry, n)
+    weight = _csv(draw, _entry, n)
+    # huge entries only where a box cap refuses them before any descent runs
+    huge = _csv(draw, st.one_of(_entry, _huge), n)
+    zero = ",".join(["0"] * n)
+    command = draw(st.sampled_from(["classify", "classify-alpha", "roots", "sigma-alpha",
+                                    "sigma-bound", "decompose", "decompose-zero", "reflect"]))
+    argv = {
+        "classify": ["classify"],
+        "classify-alpha": ["classify", "--alpha", vector],
+        "roots": ["roots", "--bound", huge, "--lambda", weight],
+        "sigma-alpha": ["sigma", "--lambda", weight, "--alpha", vector],
+        "sigma-bound": ["sigma", "--lambda", weight, "--bound", huge],
+        "decompose": ["decompose", "--lambda", weight, "--alpha", vector],
+        "decompose-zero": ["decompose", "--lambda", zero, "--alpha", huge],
+        "reflect": ["reflect", "--lambda", weight, "--alpha", vector, "--seq", _csv(draw, _entry, 3)],
+    }[command]
+    flags = draw(st.sampled_from([[], [], ["--json"], ["--max-box", "0"], ["--max-states", "x"], ["--max-box", "5"]]))
+    return [argv[0], "--quiver", path, *argv[1:], *flags], text
+
+
+@pytest.fixture(scope="module")
+def quiver_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("quivers")
+
+
+_EX4_FILE, _KRONECKER_FILE = _FIXTURES[1][0], _FIXTURES[3][0]
+
+
+@settings(max_examples=150, deadline=None)
+@example(case=(["decompose", "--quiver", _EX4_FILE, "--lambda", "1/0,0,0,0", "--alpha", "1,1,1,1"], None), env={})
+@example(case=(["sigma", "--quiver", _EX4_FILE, "--lambda", "0,0,0,0", "--alpha", ""], None), env={})
+@example(case=(["decompose", "--quiver", _KRONECKER_FILE, "--lambda", "0,0", "--alpha", "1,x"], None), env={})
+@example(case=(["roots", "--quiver", _KRONECKER_FILE, "--bound", f"{10**30},1"], None), env={})
+@example(case=(["decompose", "--quiver", _KRONECKER_FILE, "--lambda", "0,0", "--alpha", "1,2,3"], None),
+         env={"QUIVERDEC_MAX_SUM": "1/0"})
+@example(case=(["classify", "--quiver", "QUIVER"], '{"vertices": [1], "arrows": null}'), env={})
+@given(case=_invocation(), env=st.fixed_dictionaries({}, optional={k: _cap_values for k in _CAP_ENV}))
+def test_cli_never_escapes_with_a_traceback(quiver_dir, case, env):
+    argv, text = case
+    if text is not None:
+        (quiver_dir / "q.json").write_text(text)
+        argv = [str(quiver_dir / "q.json") if a == "QUIVER" else a for a in argv]
+    with pytest.MonkeyPatch.context() as mp:
+        for name in _CAP_ENV:
+            mp.delenv(name, raising=False)
+        for name, value in env.items():
+            mp.setenv(name, value)
+        assert cli.main(argv) in (0, 1, 2, 3), argv
