@@ -151,11 +151,9 @@ class Factor:
     dimension_contribution: int
 
     def describe(self) -> str:
-        if self.kind == "Point":
-            return "Point"
         if self.kind == "Kleinian":
-            return f"Kleinian({self.label})" if self.label else "Kleinian(?)"
-        return "NonIsotropicBlock"
+            return f"Kleinian({self.label or '?'})"
+        return self.kind
 
 
 @dataclass(frozen=True)
@@ -166,17 +164,11 @@ class ProductReport:
     weight: tuple
 
     def to_json_dict(self) -> dict:
-        terms = []
-        for term, factor in zip(self.decomposition.terms, self.factors):
-            terms.append(
-                {
-                    "sigma": list(term.sigma),
-                    "m": term.multiplicity,
-                    "class": term.root_class.value,
-                    "p": term.p_value,
-                    "factor": factor.describe(),
-                }
-            )
+        terms = [
+            {"sigma": list(term.sigma), "m": term.multiplicity, "class": term.root_class.value,
+             "p": term.p_value, "factor": factor.describe()}
+            for term, factor in zip(self.decomposition.terms, self.factors)
+        ]
         return {
             "alpha": list(self.decomposition.total),
             "lambda": weight_to_json_list(self.weight),
@@ -223,6 +215,10 @@ def _format_weight(lam) -> str:
     return "(" + ",".join(str(weight_entry_to_json(x)) for x in lam) + ")"
 
 
+_FACTOR_KINDS = {RootClass.REAL: "Point", RootClass.ISOTROPIC_IMAGINARY: "Kleinian",
+                 RootClass.NONISOTROPIC_IMAGINARY: "NonIsotropicBlock"}
+
+
 def product_structure_report(ctx: LambdaContext, a: Sequence[int]) -> ProductReport:
     """Classify every factor and render the product formula.
 
@@ -233,33 +229,17 @@ def product_structure_report(ctx: LambdaContext, a: Sequence[int]) -> ProductRep
     """
     decomposition = canonical_decompose(ctx, a)
     lam_str = _format_weight(ctx.weight)
-    factors = []
-    pieces = []
-    any_point = False
+    factors, pieces = [], []
     for term in decomposition.terms:
-        contribution = 2 * term.multiplicity * term.p_value
-        if term.root_class is RootClass.REAL:
-            factors.append(
-                Factor(term.sigma, term.multiplicity, "Point", None, term.multiplicity, 0)
-            )
-            any_point = True
-            continue
-        if term.root_class is RootClass.ISOTROPIC_IMAGINARY:
-            label = kleinian_label(ctx, term.sigma)
-            factors.append(
-                Factor(term.sigma, term.multiplicity, "Kleinian", label,
-                       term.multiplicity, contribution)
-            )
-        else:
-            factors.append(
-                Factor(term.sigma, term.multiplicity, "NonIsotropicBlock", None,
-                       1, contribution)
-            )
-        body = f"N({lam_str},{_format_vector(term.sigma)})"
-        if term.multiplicity > 1:
-            body = f"S^{term.multiplicity} " + body
-        pieces.append(body)
-    if any_point or not pieces:
+        kind = _FACTOR_KINDS[term.root_class]
+        label = kleinian_label(ctx, term.sigma) if kind == "Kleinian" else None
+        power = 1 if kind == "NonIsotropicBlock" else term.multiplicity
+        factors.append(Factor(term.sigma, term.multiplicity, kind, label, power,
+                              2 * term.multiplicity * term.p_value))
+        if kind != "Point":
+            power_str = f"S^{term.multiplicity} " if term.multiplicity > 1 else ""
+            pieces.append(f"{power_str}N({lam_str},{_format_vector(term.sigma)})")
+    if not pieces or any(f.kind == "Point" for f in factors):
         pieces.append("point")
     return ProductReport(decomposition, tuple(factors), " x ".join(pieces), ctx.weight)
 
@@ -270,10 +250,12 @@ def product_structure_report(ctx: LambdaContext, a: Sequence[int]) -> ProductRep
 def check_refinement(d1: Sequence[Sequence[int]], d2: Sequence[Sequence[int]]) -> bool:
     """Can the parts of ``d1`` be grouped to sum to the parts of ``d2``?
 
-    Both arguments are multisets of vectors; they must sum to the same
-    total or SumMismatch is raised. The search is exact-cover style
-    backtracking with duplicate-part pruning, on an explicit stack so that
-    the number of parts is not limited by the recursion depth.
+    Both are multisets of dimension vectors with one total, else SumMismatch.
+    A zero part joins any group and a zero target is an empty group; the rest
+    is one memoized placement search: parts go largest first into targets
+    with room left, skipping a room equal to the one before it or one that
+    no later part fits, and each state (parts placed, sorted rooms) is
+    expanded once.
     """
     parts = sorted(tuple(int(x) for x in v) for v in d1)
     targets = sorted((tuple(int(x) for x in v) for v in d2), key=lambda t: (-sum(t), t))
@@ -284,40 +266,26 @@ def check_refinement(d1: Sequence[Sequence[int]], d2: Sequence[Sequence[int]]) -
     total2 = tuple(sum(v[i] for v in targets) for i in range(n))
     if total1 != total2:
         raise SumMismatch(f"sums differ: {total1!r} vs {total2!r}")
-
-    def branches(node):
-        """The nodes below one node of the search, in depth-first order.
-
-        A node is (remaining parts, rest of the current target, first index
-        still to try, indices chosen for the target, targets after it).
-        """
-        remaining, target, start, chosen, queue = node
-        if not any(target):
-            if queue:
-                dropped = set(chosen)
-                rest = tuple(p for i, p in enumerate(remaining) if i not in dropped)
-                yield rest, queue[0], 0, (), queue[1:]
-            return
-        prev = None
-        for idx in range(start, len(remaining)):
-            part = remaining[idx]
-            if part == prev:
-                continue  # identical parts give identical branches
-            prev = part
-            if any(x > t for x, t in zip(part, target)):
-                continue
-            yield remaining, tuple(t - x for t, x in zip(target, part)), idx + 1, chosen + (idx,), queue
-
-    if not targets:
+    rooms = tuple(sorted(t for t in targets if any(t)))
+    if not rooms:
         return not parts
-    stack = [iter([(tuple(parts), targets[0], 0, (), tuple(targets[1:]))])]
+    parts = sorted((v for v in parts if any(v)), key=lambda v: (sum(v), v), reverse=True)
+    stack = [(0, rooms)]
+    seen = set(stack)
     while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            continue
-        remaining, target, _, chosen, queue = node
-        if not any(target) and not queue and len(chosen) == len(remaining):
+        placed, rooms = stack.pop()
+        if placed == len(parts):  # the sums agree, so every room is used up
             return True
-        stack.append(branches(node))
+        part = parts[placed]
+        for j, room in enumerate(rooms):
+            if (j and room == rooms[j - 1]) or any(x > r for x, r in zip(part, room)):
+                continue
+            left = tuple(r - x for r, x in zip(room, part))
+            if any(left) and not any(all(x <= r for x, r in zip(p, left)) for p in parts[placed + 1:]):
+                continue  # no later part fits in what is left of this target
+            rest = rooms[:j] + rooms[j + 1:] + ((left,) if any(left) else ())
+            state = (placed + 1, tuple(sorted(rest)))
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
     return False

@@ -203,3 +203,18 @@ def test_verify_runs_clean(capsys):
     assert all(r["passed"] for r in reports)
     lemmas = {r["lemma"] for r in reports}
     assert lemmas == {"deltasum", "dynkvec", "rootineq", "maincase", "support_split"}
+    rc, out, _ = run(capsys, "verify")
+    assert rc == 0
+    lines = out.splitlines()
+    assert [line.split()[:2] for line in lines] == [["PASS", r["lemma"]] for r in reports]
+
+
+def test_decompose_nonisotropic_block(capsys, tmp_path):
+    k3 = tmp_path / "k3.json"
+    k3.write_text('{"vertices": ["0", "1"], "arrows": [["0", "1"], ["0", "1"], ["0", "1"]]}')
+    rc, out, _ = run(capsys, "decompose", "--quiver", str(k3), "--lambda", "0,0", "--alpha", "2,2")
+    assert rc == 0
+    lines = out.splitlines()
+    assert "dimension: 10" in lines
+    assert "  1 x (2, 2)  class=NonIsotropicImaginary  p=5  factor=NonIsotropicBlock" in lines
+    assert "formula: N((0,0),(2,2))" in lines

@@ -104,6 +104,8 @@ def test_product_report_nonisotropic_and_empty():
     report = qd.product_structure_report(ctx, (2, 2))
     assert [f.kind for f in report.factors] == ["NonIsotropicBlock"]
     assert report.factors[0].multiplicity == 1
+    assert report.factors[0].describe() == "NonIsotropicBlock"
+    assert report.to_json_dict()["terms"][0]["factor"] == "NonIsotropicBlock"
     assert "S^" not in report.formula
     assert qd.product_structure_report(ctx, (0, 0)).formula == "point"
 
@@ -144,13 +146,16 @@ def test_kleinian_label_budget_counts_the_descent_path():
 
 def test_kleinian_label_rejects_a_descent_stuck_at_a_zero_weight():
     # none of these is an isotropic Sigma member at weight 0: a caller's error, exit 1
+    k3 = qd.Quiver(["0", "1"], [["0", "1"]] * 3)
     for q, sigma, message in (
         (EX4, (1, 1, 1, 1), "outside the fundamental region"),  # isotropic, splits off e_1
         (KRONECKER, (2, 2), "not the delta of its support"),  # twice delta
         (KRONECKER, (1, 0), "outside the fundamental region"),  # real
+        (k3, (1, 1), "support of kind Other"),  # non-isotropic Sigma member
     ):
         ctx = qd.LambdaContext(q, (0,) * q.n)
-        assert not qd.in_sigma_lambda(ctx, sigma) or qd.classify_root(q, sigma) is RootClass.REAL
+        isotropic = qd.classify_root(q, sigma) is RootClass.ISOTROPIC_IMAGINARY
+        assert not (isotropic and qd.in_sigma_lambda(ctx, sigma))
         with pytest.raises(qd.NotIsotropicSigma, match=message) as raised:
             qd.kleinian_label(ctx, sigma)
         assert isinstance(raised.value, ValueError)

@@ -330,3 +330,47 @@ def test_sigma_queries_on_an_over_cap_weighted_pair(capsys):
     assert "(max_bound_sum, QUIVERDEC_MAX_SUM)" in capsys.readouterr().err
     assert cli.main(["sigma", "--quiver", ex4, "--lambda", "0,0,0,0", "--alpha", "4,12,8,4"]) == 0
     assert capsys.readouterr().out == "false\n"
+
+
+def _grouped(rng, parts, n):
+    """Targets that the parts refine: the sums of a random grouping, empty groups kept as zeros."""
+    groups = [[0] * n for _ in range(rng.randint(1, max(1, len(parts))))]
+    for part in parts:
+        group = rng.choice(groups)
+        for i, x in enumerate(part):
+            group[i] += x
+    return [tuple(g) for g in groups]
+
+
+def _moved_unit(rng, targets):
+    """The same total with one unit moved from one target to another; often no refinement."""
+    i, j = rng.sample(range(len(targets)), 2)
+    v = rng.randrange(len(targets[i]))
+    out = [list(t) for t in targets]
+    if out[i][v]:
+        out[i][v] -= 1
+        out[j][v] += 1
+    return [tuple(t) for t in out]
+
+
+def test_refinement_search_matches_the_oracle():
+    rng = random.Random(20261018)
+    cases = [([], []), ([(0, 0)], []), ([], [(0, 0)]), ([(0,)], [(0,)]), ([(0,), (1,)], [(1,), (0,)])]
+    for _ in range(3000):
+        n = rng.randint(1, 3)
+        parts = [tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(n)) for _ in range(rng.randint(0, 7))]
+        targets = _grouped(rng, parts, n)
+        if rng.random() < 0.3:
+            targets.append((0,) * n)
+        if len(targets) > 1 and rng.random() < 0.7:
+            targets = _moved_unit(rng, targets)
+        cases.append((parts, targets))
+    answers = {True: 0, False: 0}
+    for parts, targets in cases:
+        expected = oracle.refines(parts, targets)
+        assert qd.check_refinement(parts, targets) is expected, (parts, targets)
+        answers[expected] += 1
+        n = len(parts[0]) if parts else len(targets[0]) if targets else 1
+        with pytest.raises(qd.SumMismatch):  # the oracle does not check sums
+            qd.check_refinement(parts, targets + [(0,) * (n - 1) + (1,)])
+    assert min(answers.values()) >= 500, answers
