@@ -23,13 +23,11 @@ from .lambda_roots import LambdaContext, in_sigma_lambda, sigma_lambda_upto
 from .quiver_core import (
     Quiver,
     dim_vector,
-    lambda_dot,
     p_form,
     parse_quiver_json,
     parse_rational,
     q_form,
     weight_entry_to_json,
-    weight_vector,
 )
 from .reflection_walk import apply_sequence, make_pair, trace_to_json
 from .root_system import (
@@ -104,10 +102,10 @@ def _cmd_roots(args) -> int:
     q = parse_quiver_file(args.quiver)
     caps = _caps_from_args(args)
     bound = dim_vector(q, _parse_int_csv(args.bound))
-    roots = positive_roots_upto(q, bound, caps)
-    if args.weight is not None:
-        lam = weight_vector(q, _parse_weight_csv(args.weight))
-        roots = tuple(b for b in roots if lambda_dot(lam, b) == 0)
+    if args.weight is None:
+        roots = positive_roots_upto(q, bound, caps)
+    else:
+        roots = sorted(LambdaContext(q, _parse_weight_csv(args.weight), caps).orthogonal_roots_upto(bound))
     payload = {"bound": list(bound), "roots": [list(b) for b in roots]}
     _emit(args, payload, [",".join(str(x) for x in b) for b in roots])
     return 0

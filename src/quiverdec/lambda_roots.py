@@ -14,6 +14,7 @@ equals it compares two computations. Tables are filled bottom-up.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
@@ -23,12 +24,11 @@ from .quiver_core import (
     Quiver,
     WeightVector,
     dim_vector,
-    lambda_dot,
     p_form,
     weight_vector,
     zero_vector,
 )
-from .reflection_walk import PairState, descend
+from .reflection_walk import PairState, _integer_weight, descend
 from .root_system import box_strides, classify_root, positive_roots_upto
 
 
@@ -103,9 +103,10 @@ class LambdaContext:
     def __init__(self, quiver: Quiver, weight: Iterable, caps: Caps = DEFAULT_CAPS):
         self.quiver = quiver
         self.weight: WeightVector = weight_vector(quiver, weight)
+        self._scaled = _integer_weight(self.weight)[1]  # orthogonality is linear in the weight
         self.caps = caps
         self._bound: DimVector = zero_vector(quiver)
-        self._roots: tuple[DimVector, ...] = ()  # orthogonal roots of the box, by (sum, lex)
+        self._roots: dict[DimVector, int] = {}  # p of each orthogonal root of the box, by (sum, lex)
         self._split: dict[DimVector, int | None] = {}  # best proper split of each decided root
         self._tables: dict[str, BoxTable] = {}
 
@@ -119,8 +120,9 @@ class LambdaContext:
         except ResourceLimit:
             box = bound
         roots = positive_roots_upto(self.quiver, box, self.caps)
-        orthogonal = (b for b in roots if lambda_dot(self.weight, b) == 0)
-        self._roots = tuple(sorted(orthogonal, key=lambda b: (sum(b), b)))
+        if any(self._scaled):
+            roots = [b for b in roots if sum(map(mul, self._scaled, b)) == 0]
+        self._roots = {b: p_form(self.quiver, b) for b in sorted(roots, key=lambda b: (sum(b), b))}
         self._bound = box
         self._tables.clear()
 
@@ -173,9 +175,8 @@ class LambdaContext:
         """
         if kind not in self._tables:
             table = self._tables[kind] = BoxTable(self._bound)
-            for beta in self._roots:
+            for beta, p in self._roots.items():
                 split = None if kind == "norm" else self._split.setdefault(beta, table[beta])
-                p = p_form(self.quiver, beta)
                 if split is None or split < p:
                     table.add(beta, p)
         return self._tables[kind]
@@ -186,7 +187,7 @@ def in_R_lambda_plus(ctx: LambdaContext, a: Sequence[int]) -> bool:
     a = dim_vector(ctx.quiver, a)
     if all(e == 0 for e in a) or any(e < 0 for e in a):
         return False
-    return classify_root(ctx.quiver, a).is_root and lambda_dot(ctx.weight, a) == 0
+    return sum(map(mul, ctx._scaled, a)) == 0 and classify_root(ctx.quiver, a).is_root
 
 
 def in_N_R_lambda_plus(ctx: LambdaContext, a: Sequence[int]) -> bool:

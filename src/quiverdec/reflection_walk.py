@@ -13,6 +13,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExhausted, InadmissibleStep
@@ -88,33 +91,54 @@ class NormalizedPair:
     exhaustive: bool
 
 
-class _OrbitSearch:
+def _integer_weight(lam: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(L, L * lam) for the least positive integer L clearing the denominators of ``lam``."""
+    scale = lcm(*(x.denominator for x in lam))
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in lam)
+
+
+class _IntegerPairs:
+    """A pair's states (L * weight, dim): admissibility and reflection are linear in the weight."""
+
+    def __init__(self, q: Quiver, pair: PairState):
+        self.start = make_pair(q, pair.weight, pair.dim)
+        self.scale, weight = _integer_weight(self.start.weight)
+        self.root = (weight, self.start.dim)
+        self.moves = [(i, v, q.cartan_matrix()[i]) for i, v in enumerate(q.vertices) if q.is_loopfree(v)]
+
+    def steps(self, weight: tuple[int, ...], dim: DimVector) -> Iterator[tuple[str, tuple]]:
+        for i, vertex, row in self.moves:
+            if w := weight[i]:
+                reflected = dim[:i] + (dim[i] - sum(map(mul, row, dim)),) + dim[i + 1:]
+                yield vertex, (tuple([x - r * w for x, r in zip(weight, row)]), reflected)
+
+    def pair(self, state: tuple) -> PairState:
+        return PairState(tuple(Fraction(x, self.scale) for x in state[0]), state[1])
+
+
+class _OrbitSearch(_IntegerPairs):
     """Breadth-first search of the admissible class of a pair.
 
     Admits at most ``budget`` states, the start included, with exact-state
     deduplication, and hands out each admitted (state, sequence) in BFS
     order, so every sequence is as short as possible. ``truncated`` records
-    whether an admission was refused; after the first refusal nothing more
-    can be admitted, so the search stops expanding and only hands out the
-    states already queued.
+    whether an admission was refused; after the first refusal the search
+    stops expanding and only hands out the states already queued.
     """
 
     def __init__(self, q: Quiver, pair: PairState, budget: int):
-        self.q, self.budget, self.truncated = q, budget, budget <= 0
-        self.start = make_pair(q, pair.weight, pair.dim)
+        super().__init__(q, pair)
+        self.budget, self.truncated = budget, budget <= 0
 
-    def __iter__(self) -> Iterator[tuple[PairState, tuple[str, ...]]]:
-        seen = {self.start}
-        queue = deque([] if self.truncated else [(self.start, ())])
+    def __iter__(self) -> Iterator[tuple[tuple, tuple[str, ...]]]:
+        seen = {self.root}
+        queue = deque([] if self.truncated else [(self.root, ())])
         while queue:
             state, seq = queue.popleft()
             yield state, seq
             if self.truncated:
                 continue
-            for vertex in self.q.vertices:
-                if not is_admissible(self.q, state, vertex):
-                    continue
-                nxt = reflect_pair(self.q, state, vertex)
+            for vertex, nxt in self.steps(*state):
                 if nxt in seen:
                     continue
                 if len(seen) >= self.budget:
@@ -142,8 +166,8 @@ def normalize_pair(q: Quiver, pair: PairState, budget: int = 100_000) -> Normali
             "budget of 0 states cannot explore anything",
             NormalizedPair(search.start, (), False),
         )
-    state, seq = min(search, key=lambda found: (sum(found[0].dim), found[0].dim))
-    return NormalizedPair(state, seq, not search.truncated)
+    state, seq = min(search, key=lambda found: (sum(found[0][1]), found[0][1]))
+    return NormalizedPair(search.pair(state), seq, not search.truncated)
 
 
 def fundamental_representative(
@@ -155,9 +179,10 @@ def fundamental_representative(
     is as short as possible. Returns None only when no admitted pair lies in
     the fundamental region: none is reachable, or the budget ran out first.
     """
-    for state, seq in _OrbitSearch(q, pair, budget):
-        if all(e >= 0 for e in state.dim) and in_fundamental_region(q, state.dim):
-            return state, seq
+    search = _OrbitSearch(q, pair, budget)
+    for state, seq in search:
+        if all(e >= 0 for e in state[1]) and in_fundamental_region(q, state[1]):
+            return search.pair(state), seq
     return None
 
 
@@ -166,13 +191,14 @@ def descend(q: Quiver, pair: PairState) -> tuple[PairState, tuple[str, ...]]:
 
     Stops early at a negative entry; each step lowers the total, so it ends.
     """
-    state, seq = make_pair(q, pair.weight, pair.dim), ()
-    while min(state.dim, default=0) >= 0:
-        down = [v for v in q.vertices if is_admissible(q, state, v) and pairing_with_simple(q, state.dim, v) > 0]
-        if not down:
+    pairs = _IntegerPairs(q, pair)
+    state, seq = pairs.root, ()
+    while min(state[1], default=0) >= 0:
+        down = next(((v, nxt) for v, nxt in pairs.steps(*state) if sum(nxt[1]) < sum(state[1])), None)
+        if down is None:
             break
-        state, seq = reflect_pair(q, state, down[0]), seq + (down[0],)
-    return state, seq
+        seq, state = seq + (down[0],), down[1]
+    return (pairs.pair(state) if seq else pairs.start), seq
 
 
 def strip_simple(q: Quiver, pair: PairState) -> tuple[str, PairState] | None:

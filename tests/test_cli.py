@@ -4,6 +4,7 @@ import pytest
 
 import quiverdec as qd
 from quiverdec.cli import main, parse_quiver_file
+from quiverdec.quiver_core import parse_rational
 
 KRONECKER = qd.fixture_path("kronecker.json")
 JORDAN = qd.fixture_path("jordan.json")
@@ -218,3 +219,29 @@ def test_decompose_nonisotropic_block(capsys, tmp_path):
     assert "dimension: 10" in lines
     assert "  1 x (2, 2)  class=NonIsotropicImaginary  p=5  factor=NonIsotropicBlock" in lines
     assert "formula: N((0,0),(2,2))" in lines
+
+
+@pytest.mark.parametrize("path, bound, lam", [
+    (EX4, "2,4,3,2", "0,1,-2,1"),
+    (EX4, "2,4,3,2", "1/2,-1/3,1/5,0"),
+    (KRONECKER, "3,3", "-1,1"),
+    (A2, "2,2", "0,0"),
+    (JORDAN, "4", "1"),
+])
+def test_roots_lambda_keeps_the_orthogonal_unweighted_roots_in_lex_order(capsys, path, bound, lam):
+    weight = [parse_rational(x) for x in lam.split(",")]
+    rc, out, _ = run(capsys, "roots", "--quiver", path, "--bound", bound, "--json")
+    assert rc == 0
+    data = json.loads(out)
+    data["roots"] = [b for b in data["roots"] if qd.lambda_dot(weight, b) == 0]
+    rc, out, _ = run(capsys, "roots", "--quiver", path, "--bound", bound, f"--lambda={lam}", "--json")
+    assert (rc, json.loads(out)) == (0, data)
+    rc, out, _ = run(capsys, "roots", "--quiver", path, "--bound", bound, f"--lambda={lam}")
+    assert (rc, out) == (0, "".join(",".join(map(str, b)) + "\n" for b in data["roots"]))
+
+
+@pytest.mark.parametrize("bound, code", [("30,30", 3), ("-1,2", 1)])
+def test_roots_lambda_refuses_a_bound_as_roots_does(capsys, bound, code):
+    plain = run(capsys, "roots", "--quiver", KRONECKER, "--bound", bound)
+    assert plain[0] == code and plain[1] == ""
+    assert run(capsys, "roots", "--quiver", KRONECKER, "--bound", bound, "--lambda", "1,-1") == plain

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -161,3 +162,45 @@ def test_weight_entries_are_exact():
     assert ctx.weight[0] == Fraction(1, 3)
     assert qd.lambda_dot(ctx.weight, (1, 1, 0, 0)) == 0
     assert qd.in_R_lambda_plus(ctx, (1, 1, 0, 0))
+
+
+# -- the integer orthogonality filter against lambda_dot ---------------------------
+
+
+def _orthogonal_to(vec, rng):
+    """A seeded rational weight orthogonal to ``vec``, nonzero somewhere."""
+    lam = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 11))) for _ in vec]
+    lam[-1] = -sum(x * d for x, d in zip(lam[:-1], vec)) / vec[-1]
+    return tuple(lam) if any(lam) else _orthogonal_to(vec, rng)
+
+
+def _filter_cases():
+    rng = random.Random(808)
+    cases = []
+    for name in ("D4", "E6"):
+        q = qd.extended_dynkin_quiver(name)
+        delta = qd.classify_shape(q).delta
+        cases.append((q, (0,) * q.n, delta))
+        cases += [(q, _orthogonal_to(delta, rng), delta) for _ in range(2)]
+    cases.append((EX4, EX4_WEIGHT, (2, 4, 3, 2)))
+    for _ in range(2):
+        cases.append((EX4, tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(4)), (2, 4, 3, 2)))
+    cases.append((EX4, _orthogonal_to((1, 3, 2, 1), rng), (2, 4, 3, 2)))
+    return cases
+
+
+@pytest.mark.parametrize("q, lam, bound", _filter_cases())
+def test_orthogonal_roots_match_the_rational_filter(q, lam, bound):
+    expected = [b for b in qd.positive_roots_upto(q, bound) if qd.lambda_dot(qd.weight_vector(q, lam), b) == 0]
+    ctx = qd.LambdaContext(q, lam)
+    assert ctx.orthogonal_roots_upto(bound) == tuple(sorted(expected, key=lambda b: (sum(b), b)))
+    half = tuple(x // 2 for x in bound)
+    assert ctx.orthogonal_roots_upto(half) == tuple(b for b in sorted(expected, key=lambda b: (sum(b), b))
+                                                    if all(x <= y for x, y in zip(b, half)))
+    norm = ctx.norm_table(bound)
+    assert norm.items == {b: qd.p_form(q, b) for b in expected}
+    # a positive multiple of the weight has the same orthogonal roots, so the same tables
+    scaled = qd.LambdaContext(q, [random.Random(str(lam)).randint(2, 10**6) * Fraction(x) for x in lam])
+    for table in ("sigma_table", "norm_table"):
+        ours, theirs = getattr(ctx, table)(bound), getattr(scaled, table)(bound)
+        assert (ours.best, ours.count, ours.items) == (theirs.best, theirs.count, theirs.items), table

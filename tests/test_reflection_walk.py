@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -273,3 +275,97 @@ def test_normalize_pair_matches_reference_at_every_small_budget():
         assert qd.normalize_pair(EX4, pair, budget=budget) == qd.NormalizedPair(
             state, seq, exhaustive
         ), budget
+
+
+# -- the integer search and descent against the Fraction path ------------------
+
+D4 = qd.extended_dynkin_quiver("D4")
+# primes above 1000: two nonzero entries already put the weight's lcm above 10**6
+LARGE_PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061)
+ORBIT_BUDGET = 300
+
+
+def _reference_orbit(q, pair, budget):
+    """The admitted states of the breadth-first search, in order, on ``reflect_pair``.
+
+    Returns ([(state, sequence)], exhaustive). A smaller budget b admits the
+    first b of these states, and is exhaustive when the class fits in b.
+    """
+    from collections import deque
+
+    from quiverdec.reflection_walk import is_admissible, reflect_pair
+
+    admitted, seen, queue, truncated = [], {pair}, deque([(pair, ())]), False
+    while queue:
+        state, seq = queue.popleft()
+        admitted.append((state, seq))
+        for vertex in q.vertices:
+            if is_admissible(q, state, vertex):
+                nxt = reflect_pair(q, state, vertex)
+                if nxt in seen:
+                    continue
+                if len(seen) >= budget:
+                    truncated = True
+                    continue
+                seen.add(nxt)
+                queue.append((nxt, seq + (vertex,)))
+    return admitted, not truncated
+
+
+def _reference_descend(q, pair):
+    from quiverdec.reflection_walk import is_admissible, reflect_pair
+
+    seq = ()
+    while min(pair.dim) >= 0:
+        down = [v for v in q.vertices if is_admissible(q, pair, v)
+                and qd.bilinear_form(q, pair.dim, qd.coordinate_vector(q, v)) > 0]
+        if not down:
+            break
+        pair, seq = reflect_pair(q, pair, down[0]), seq + (down[0],)
+    return pair, seq
+
+
+def _large_denominator_pairs(seed, count=4):
+    rng = random.Random(seed)
+    pairs = []
+    for q in (EX4, D4, KRONECKER):
+        for _ in range(count):
+            dens = rng.sample(LARGE_PRIMES, q.n)
+            weight = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 999), d) for d in dens]
+            for i in rng.sample(range(q.n), rng.randint(0, q.n - 2)):
+                weight[i] = Fraction(0)
+            dim = [rng.randint(0, 4) for _ in range(q.n)]
+            if rng.random() < 0.2:
+                dim[rng.randrange(q.n)] = -1
+            pairs.append((q, qd.make_pair(q, weight, dim)))
+    return pairs
+
+
+def _check_against_fraction_path(q, pair, budgets):
+    admitted, exhaustive = _reference_orbit(q, pair, max(budgets))
+    for budget in budgets:
+        prefix = admitted[:budget]
+        state, seq = min(prefix, key=lambda found: (sum(found[0].dim), found[0].dim))
+        res = qd.normalize_pair(q, pair, budget=budget)
+        assert res == qd.NormalizedPair(state, seq, exhaustive and len(admitted) <= budget), (pair, budget)
+        found = next((f for f in prefix if min(f[0].dim) >= 0 and qd.in_fundamental_region(q, f[0].dim)), None)
+        assert qd.fundamental_representative(q, pair, budget=budget) == found, (pair, budget)
+        assert all(isinstance(x, Fraction) for x in res.state.weight)
+    state, seq = qd.descend(q, pair)
+    assert (state, seq) == _reference_descend(q, pair)
+    assert all(isinstance(x, Fraction) for x in state.weight)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_integer_search_and_descent_match_the_fraction_path(seed):
+    cases = _large_denominator_pairs(seed)
+    assert any(lcm(*(x.denominator for x in pair.weight)) > 10**6 for _, pair in cases)
+    assert any(0 in pair.weight for _, pair in cases)
+    assert any(min(pair.dim) < 0 for _, pair in cases)
+    rng = random.Random(1000 + seed)
+    for q, pair in cases:
+        _check_against_fraction_path(q, pair, sorted(rng.sample(range(1, ORBIT_BUDGET + 1), 10)))
+
+
+def test_integer_search_matches_the_fraction_path_at_every_budget():
+    _check_against_fraction_path(EX4, BOUNDARY, range(1, ORBIT_BUDGET + 1))
