@@ -11,6 +11,7 @@ asserted rather than assumed.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -19,21 +20,20 @@ from .lambda_roots import LambdaContext, in_sigma_lambda, norm_lambda
 from .quiver_core import (
     DimVector,
     dim_vector,
-    p_form,
     restrict,
     restrict_vector,
     support,
     weight_entry_to_json,
     weight_to_json_list,
 )
-from .reflection_walk import PairState, apply_sequence, descend
+from .reflection_walk import PairState, descend
 from .root_system import (
     RootClass,
     ShapeKind,
     ade_label,
-    classify_root,
     classify_shape,
     in_fundamental_region,
+    simple_reflection,
 )
 
 
@@ -64,6 +64,10 @@ class CanonicalDecomposition:
         return tuple(sorted(out))
 
 
+# a positive root is real at p = 0, isotropic at p = 1 and non-isotropic above
+_CLASS_BY_P = RootClass.REAL, RootClass.ISOTROPIC_IMAGINARY, RootClass.NONISOTROPIC_IMAGINARY
+
+
 def _maximal_sigma_multiset(ctx: LambdaContext, a: DimVector):
     """(best p-sum, count, one witness) of Sigma multisets summing to ``a``, in the box of ``ctx``.
 
@@ -87,7 +91,9 @@ def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomp
     p-sum agrees with the norm over all orthogonal-root decompositions,
     and that multiplicities above one only occur on terms with p <= 1;
     any violation raises InternalInconsistency. Runs on the pair that
-    ``ctx.resolve`` gives; after a descent the terms are reflected back.
+    ``ctx.resolve`` gives. Each term's p is read from the Sigma table and
+    fixes its class; after a descent the term is reflected back along the
+    reversed descent, which keeps both.
     """
     a = dim_vector(ctx.quiver, a)
     low, b, seq = ctx.resolve(a)
@@ -100,22 +106,19 @@ def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomp
         raise InternalInconsistency(
             f"maximal p-sum over Sigma multisets ({best}) disagrees with the norm"
         )
-    counts: dict[DimVector, int] = {}
-    for part in witness:
-        counts[part] = counts.get(part, 0) + 1
+    items = low._table("sigma").items
     terms = []
-    for sigma, mult in counts.items():
+    for sigma, mult in Counter(witness).items():
         if not in_sigma_lambda(low, sigma):
             raise InternalInconsistency(f"term {sigma!r} fails the Sigma test")
-        cls = classify_root(ctx.quiver, sigma)
-        p = p_form(ctx.quiver, sigma)
-        if cls is RootClass.NONISOTROPIC_IMAGINARY and mult != 1:
+        p = items[sigma]
+        if p > 1 and mult != 1:
             raise InternalInconsistency(
                 f"non-isotropic term {sigma!r} appears with multiplicity {mult}"
             )
-        if seq:  # reflections keep the root class and p
-            sigma = apply_sequence(ctx.quiver, PairState(low.weight, sigma), seq[::-1])[0].dim
-        terms.append(Term(sigma, mult, cls, p))
+        for vertex in reversed(seq):  # the descent was admissible, so its reverse is too
+            sigma = simple_reflection(ctx.quiver, vertex, sigma)
+        terms.append(Term(sigma, mult, _CLASS_BY_P[min(p, 2)], p))
     terms.sort(key=lambda t: (-t.p_value, t.sigma))
     return CanonicalDecomposition(tuple(terms), a, best)
 
@@ -250,7 +253,7 @@ def product_structure_report(ctx: LambdaContext, a: Sequence[int]) -> ProductRep
 def check_refinement(d1: Sequence[Sequence[int]], d2: Sequence[Sequence[int]]) -> bool:
     """Can the parts of ``d1`` be grouped to sum to the parts of ``d2``?
 
-    Both are multisets of dimension vectors with one total, else SumMismatch.
+    Both are multisets of equal-length dimension vectors with one total, else SumMismatch.
     A zero part joins any group and a zero target is an empty group; the rest
     is one memoized placement search: parts go largest first into targets
     with room left, skipping a room equal to the one before it or one that
@@ -259,9 +262,10 @@ def check_refinement(d1: Sequence[Sequence[int]], d2: Sequence[Sequence[int]]) -
     """
     parts = sorted(tuple(int(x) for x in v) for v in d1)
     targets = sorted((tuple(int(x) for x in v) for v in d2), key=lambda t: (-sum(t), t))
-    if parts and targets and len(parts[0]) != len(targets[0]):
+    lengths = {len(v) for v in parts + targets}
+    if len(lengths) > 1:
         raise SumMismatch("decompositions live on different vertex sets")
-    n = len(parts[0]) if parts else (len(targets[0]) if targets else 0)
+    n = lengths.pop() if lengths else 0
     total1 = tuple(sum(v[i] for v in parts) for i in range(n))
     total2 = tuple(sum(v[i] for v in targets) for i in range(n))
     if total1 != total2:

@@ -124,50 +124,13 @@ def _orthogonal_roots(ctx: LambdaContext, bound: DimVector) -> list[DimVector]:
 # -- decomposition enumeration ---------------------------------------------------
 
 
-def enumerate_decompositions(
-    ctx: LambdaContext, a: Sequence[int], min_parts: int = 1
+def _multisets(
+    elements: Sequence[DimVector], a: DimVector, min_parts: int
 ) -> list[tuple[DimVector, ...]]:
-    """All multisets of orthogonal positive roots summing to ``a``.
+    """Multisets of at least ``min_parts`` of the sorted ``elements`` summing to ``a`` >= 0.
 
-    Multisets are emitted with parts in nondecreasing order and the list
-    itself is in lexicographic order. ``min_parts=0`` admits the empty
-    decomposition of the zero vector.
+    Parts are in nondecreasing order and the list is in lexicographic order.
     """
-    a = dim_vector(ctx.quiver, a)
-    if any(e < 0 for e in a):
-        return []
-    roots = _orthogonal_roots(ctx, a)
-    out: list[tuple[DimVector, ...]] = []
-    parts: list[DimVector] = []
-
-    def grow(residual: DimVector, start: int) -> None:
-        if not any(residual):
-            if len(parts) >= min_parts:
-                out.append(tuple(parts))
-            return
-        for j in range(start, len(roots)):
-            beta = roots[j]
-            if all(x <= r for x, r in zip(beta, residual)):
-                parts.append(beta)
-                grow(tuple(r - x for r, x in zip(residual, beta)), j)
-                parts.pop()
-
-    grow(a, 0)
-    return out
-
-
-def enumerate_sigma_decompositions(
-    ctx: LambdaContext, a: Sequence[int], min_parts: int = 1
-) -> list[tuple[DimVector, ...]]:
-    """All multisets of Sigma members summing to ``a``, canonical order.
-
-    Sigma membership of the candidate parts is decided by this module's
-    own enumeration-based test.
-    """
-    a = dim_vector(ctx.quiver, a)
-    if any(e < 0 for e in a):
-        return []
-    elements = [b for b in _orthogonal_roots(ctx, a) if sigma_member(ctx, b)]
     out: list[tuple[DimVector, ...]] = []
     parts: list[DimVector] = []
 
@@ -185,6 +148,36 @@ def enumerate_sigma_decompositions(
 
     grow(a, 0)
     return out
+
+
+def enumerate_decompositions(
+    ctx: LambdaContext, a: Sequence[int], min_parts: int = 1
+) -> list[tuple[DimVector, ...]]:
+    """All multisets of orthogonal positive roots summing to ``a``.
+
+    Multisets are emitted with parts in nondecreasing order and the list
+    itself is in lexicographic order. ``min_parts=0`` admits the empty
+    decomposition of the zero vector.
+    """
+    a = dim_vector(ctx.quiver, a)
+    if any(e < 0 for e in a):
+        return []
+    return _multisets(_orthogonal_roots(ctx, a), a, min_parts)
+
+
+def enumerate_sigma_decompositions(
+    ctx: LambdaContext, a: Sequence[int], min_parts: int = 1
+) -> list[tuple[DimVector, ...]]:
+    """All multisets of Sigma members summing to ``a``, canonical order.
+
+    Sigma membership of the candidate parts is decided by this module's
+    own enumeration-based test.
+    """
+    a = dim_vector(ctx.quiver, a)
+    if any(e < 0 for e in a):
+        return []
+    members = [b for b in _orthogonal_roots(ctx, a) if sigma_member(ctx, b)]
+    return _multisets(members, a, min_parts)
 
 
 def nr_member(ctx: LambdaContext, a: Sequence[int]) -> bool:
@@ -244,19 +237,11 @@ def oracle_canonical(ctx: LambdaContext, a: Sequence[int]) -> tuple[DimVector, .
     all_decs = enumerate_decompositions(ctx, a, min_parts=1)
     if not all_decs:
         raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots")
-    sigma_cache: dict[DimVector, bool] = {}
-
-    def is_sigma(part: DimVector) -> bool:
-        if part not in sigma_cache:
-            sigma_cache[part] = sigma_member(ctx, part)
-        return sigma_cache[part]
-
     overall = max(sum(p_form(ctx.quiver, part) for part in dec) for dec in all_decs)
-    winners = []
-    for dec in all_decs:
-        if all(is_sigma(part) for part in dec):
-            if sum(p_form(ctx.quiver, part) for part in dec) == overall:
-                winners.append(dec)
+    winners = [
+        dec for dec in enumerate_sigma_decompositions(ctx, a)
+        if sum(p_form(ctx.quiver, part) for part in dec) == overall
+    ]
     if len(winners) != 1:
         raise NonUniqueMaximizer(
             f"{len(winners)} maximizing Sigma multisets for {a!r}; expected exactly one"
@@ -325,22 +310,11 @@ def check_deltasum(ctx: LambdaContext, m: int) -> CheckReport:
     if lambda_dot(ctx.weight, delta) != 0:
         raise ValueError("the weight must be orthogonal to delta")
     target = tuple(m * d for d in delta)
-    sigma_cache: dict[DimVector, bool] = {}
-
-    def is_sigma(part):
-        if part not in sigma_cache:
-            sigma_cache[part] = sigma_member(ctx, part)
-        return sigma_cache[part]
-
-    counterexamples = []
-    instances = 0
-    for dec in enumerate_decompositions(ctx, target, min_parts=1):
-        if not all(is_sigma(part) for part in dec):
-            continue
-        instances += 1
-        if not refines(dec, [delta] * m):
-            counterexamples.append({"decomposition": [list(p) for p in dec]})
-    return _report("deltasum", started, instances, counterexamples, {"m": m, "delta": list(delta)})
+    decs = enumerate_sigma_decompositions(ctx, target)
+    counterexamples = [
+        {"decomposition": [list(p) for p in dec]} for dec in decs if not refines(dec, [delta] * m)
+    ]
+    return _report("deltasum", started, len(decs), counterexamples, {"m": m, "delta": list(delta)})
 
 
 def _dynkin_positive_roots(q: Quiver) -> list[DimVector]:

@@ -113,7 +113,11 @@ class Quiver:
 
 def dim_vector(q: Quiver, entries: Iterable[int]) -> DimVector:
     """Validate and freeze an integer vector indexed by ``q``'s vertices."""
-    vec = tuple(int(e) for e in entries)
+    entries = tuple(entries)
+    vec = tuple(map(int, entries))
+    if vec != entries:
+        bad = next(e for e, x in zip(entries, vec) if e != x)
+        raise ValueError(f"entry {bad!r} is not an integer")
     if len(vec) != q.n:
         raise DimensionMismatch(f"expected {q.n} entries, got {len(vec)}")
     return vec

@@ -1,9 +1,12 @@
+import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
 
 import quiverdec as qd
-from quiverdec import RootClass
+from corpus import _orthogonal_weight, build_corpus
+from quiverdec import PairState, RootClass, apply_sequence
 from quiverdec.errors import NotInNRLambdaPlus, SumMismatch
 
 EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
@@ -230,6 +233,11 @@ def test_check_refinement_examples(kron0):
         qd.check_refinement([delta, delta], [delta, (2, 0)])
     with pytest.raises(SumMismatch):
         qd.check_refinement([delta], [(1, 1, 0)])
+    # every vector of both multisets counts, not only the first of each
+    with pytest.raises(SumMismatch, match="different vertex sets"):
+        qd.check_refinement([(1,), (1, 2)], [(2,)])
+    with pytest.raises(SumMismatch, match="different vertex sets"):
+        qd.check_refinement([(1, 1)], [(1, 1), (0,)])
     assert qd.check_refinement([], [])
 
 
@@ -238,3 +246,49 @@ def test_check_refinement_with_many_parts():
     # recursion limit still gets an answer
     assert qd.check_refinement([(1,)] * 1200, [(1200,)])
     assert qd.check_refinement([(1,)] * 1200, [(1,)] * 1200)
+
+
+def _terms_match_definitions(ctx, alpha):
+    """Each term's class and p by Kac descent and the form, its way back by pair reflections.
+
+    The decomposer reads p from the Sigma table and maps terms back with the
+    simple reflections alone; here the terms of the resolved pair are mapped
+    back with ``apply_sequence`` on its weight, which checks admissibility
+    at every step. Returns whether the pair was reduced by a descent.
+    """
+    q = ctx.quiver
+    low, b, seq = ctx.resolve(alpha)
+    dec = qd.canonical_decompose(ctx, alpha)
+    for t in dec.terms:
+        assert t.root_class is qd.classify_root(q, t.sigma)
+        assert t.p_value == qd.p_form(q, t.sigma)
+    back = sorted(
+        (apply_sequence(q, PairState(low.weight, t.sigma), seq[::-1])[0].dim, t.multiplicity)
+        for t in qd.canonical_decompose(low, b).terms
+    )
+    assert sorted((t.sigma, t.multiplicity) for t in dec.terms) == back
+    return bool(seq)
+
+
+def test_terms_match_definitions_on_the_corpus():
+    for name, q, lam, alpha, ctx in build_corpus(minimum=200):
+        _terms_match_definitions(ctx, alpha)
+
+
+def test_terms_match_definitions_after_descent_on_ex4():
+    rng = random.Random(20261018)
+    reduced = 0
+    while reduced < 20:
+        alpha = tuple(rng.randint(0, 10) for _ in range(4))
+        if sum(alpha) <= qd.DEFAULT_CAPS.max_bound_sum:
+            continue
+        ctx = qd.LambdaContext(EX4, _orthogonal_weight(EX4, alpha, rng))
+        try:
+            reduced += _terms_match_definitions(ctx, alpha)
+        except (NotInNRLambdaPlus, qd.ResourceLimit):
+            continue
+
+
+def test_terms_match_definitions_after_a_long_descent():
+    ctx = qd.LambdaContext(KRONECKER, (1, Fraction(-2000, 2001)))
+    assert _terms_match_definitions(ctx, (2000, 2001))

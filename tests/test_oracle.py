@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import quiverdec as qd
+from corpus import build_corpus
 from quiverdec import oracle
 from quiverdec.errors import NotInNRLambdaPlus
 
@@ -43,6 +44,19 @@ def test_enumeration_canonical_order():
         assert list(d) == sorted(d)
         total = tuple(sum(p[i] for p in d) for i in range(2))
         assert total == (2, 2)
+
+
+def test_sigma_enumeration_is_the_filtered_enumeration():
+    checked = 0
+    for name, q, lam, alpha, ctx in build_corpus(minimum=200):
+        if sum(alpha) > 6:
+            continue
+        checked += 1
+        assert oracle.enumerate_sigma_decompositions(ctx, alpha) == [
+            d for d in oracle.enumerate_decompositions(ctx, alpha)
+            if all(oracle.sigma_member(ctx, p) for p in d)
+        ]
+    assert checked >= 100
 
 
 def test_oracle_canonical_examples():

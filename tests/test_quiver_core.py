@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -66,6 +67,18 @@ def test_vector_validation():
         qd.weight_vector(A2, (1,))
     with pytest.raises(DimensionMismatch):
         qd.bilinear_form(A2, (1, 2), (1, 2, 3))
+
+
+def test_dim_vector_rejects_non_integral_entries():
+    for entries in ((1.5, 1), (Fraction(5, 2), 1), ("3", 1)):
+        with pytest.raises(ValueError):
+            qd.dim_vector(A2, entries)
+    vec = qd.dim_vector(A2, (2.0, Fraction(4, 2)))
+    assert vec == (2, 2) and all(type(x) is int for x in vec)
+    with pytest.raises(ValueError, match="1.9"):
+        qd.product_structure_report(qd.LambdaContext(KRONECKER, (0, 0)), (1.9, 1.2))
+    with pytest.raises(ValueError, match="0.5"):
+        qd.classify_root(KRONECKER, (0.5, 1))
 
 
 def test_quiver_validation():
