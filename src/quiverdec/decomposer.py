@@ -20,6 +20,7 @@ from .lambda_roots import LambdaContext, in_sigma_lambda, norm_lambda
 from .quiver_core import (
     DimVector,
     dim_vector,
+    integer_entries,
     restrict,
     restrict_vector,
     support,
@@ -253,15 +254,15 @@ def product_structure_report(ctx: LambdaContext, a: Sequence[int]) -> ProductRep
 def check_refinement(d1: Sequence[Sequence[int]], d2: Sequence[Sequence[int]]) -> bool:
     """Can the parts of ``d1`` be grouped to sum to the parts of ``d2``?
 
-    Both are multisets of equal-length dimension vectors with one total, else SumMismatch.
+    Both are multisets of integer vectors (else ValueError) of one length and one total, else SumMismatch.
     A zero part joins any group and a zero target is an empty group; the rest
     is one memoized placement search: parts go largest first into targets
     with room left, skipping a room equal to the one before it or one that
     no later part fits, and each state (parts placed, sorted rooms) is
     expanded once.
     """
-    parts = sorted(tuple(int(x) for x in v) for v in d1)
-    targets = sorted((tuple(int(x) for x in v) for v in d2), key=lambda t: (-sum(t), t))
+    parts = sorted(map(integer_entries, d1))
+    targets = sorted(map(integer_entries, d2), key=lambda t: (-sum(t), t))
     lengths = {len(v) for v in parts + targets}
     if len(lengths) > 1:
         raise SumMismatch("decompositions live on different vertex sets")

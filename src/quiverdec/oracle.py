@@ -14,10 +14,11 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterable, Sequence
 
 from .caps import Caps
-from .errors import NonUniqueMaximizer, NotInNRLambdaPlus, ResourceLimit
+from .errors import NonUniqueMaximizer, NotInNRLambdaPlus
 from .lambda_roots import LambdaContext
 from .quiver_core import (
     DimVector,
@@ -26,6 +27,7 @@ from .quiver_core import (
     coordinate_vector,
     dim_vector,
     has_connected_support,
+    integer_entries,
     lambda_dot,
     p_form,
     pairing_with_simple,
@@ -82,35 +84,32 @@ def positive_roots_in_box(q: Quiver, bound: Sequence[int], caps: Caps | None = N
     bound = dim_vector(q, bound)
     if caps is not None:
         caps.check_box(bound)
-    cached = _ROOT_BOX_CACHE.get((q, bound))
-    if cached is not None:
-        return cached
-    seeds: set[DimVector] = set()
-    for v in q.vertices:
-        eps = coordinate_vector(q, v)
-        if q.is_loopfree(v) and all(x <= b for x, b in zip(eps, bound)):
-            seeds.add(eps)
-    for vec in iter_box(bound):
-        if has_connected_support(q, vec) and all(
-            pairing_with_simple(q, vec, v) <= 0 for v in q.vertices
-        ):
-            seeds.add(vec)
+    if (q, bound) in _ROOT_BOX_CACHE:
+        return _ROOT_BOX_CACHE[(q, bound)]
+    simples = {coordinate_vector(q, v) for v in q.vertices if q.is_loopfree(v) and bound[q.index(v)] >= 1}
+    fundamental = {
+        vec for vec in iter_box(bound)
+        if has_connected_support(q, vec) and all(pairing_with_simple(q, vec, v) <= 0 for v in q.vertices)
+    }
+    result = frozenset(_closure(q, simples | fundamental, bound))
+    if len(_ROOT_BOX_CACHE) < 4096:
+        _ROOT_BOX_CACHE[(q, bound)] = result
+    return result
+
+
+def _closure(q: Quiver, seeds: Iterable[DimVector], bound: DimVector) -> set[DimVector]:
+    """Everything simple reflections reach from ``seeds`` without leaving the box below ``bound``."""
     found = set(seeds)
-    frontier = list(seeds)
+    frontier = list(found)
     loopfree = [v for v in q.vertices if q.is_loopfree(v)]
     while frontier:
         vec = frontier.pop()
         for v in loopfree:
             image = simple_reflection(q, v, vec)
-            if image in found:
-                continue
-            if all(0 <= x <= b for x, b in zip(image, bound)):
+            if image not in found and all(0 <= x <= b for x, b in zip(image, bound)):
                 found.add(image)
                 frontier.append(image)
-    result = frozenset(found)
-    if len(_ROOT_BOX_CACHE) < 4096:
-        _ROOT_BOX_CACHE[(q, bound)] = result
-    return result
+    return found
 
 
 def _orthogonal_roots(ctx: LambdaContext, bound: DimVector) -> list[DimVector]:
@@ -185,24 +184,17 @@ def nr_member(ctx: LambdaContext, a: Sequence[int]) -> bool:
     a = dim_vector(ctx.quiver, a)
     if any(e < 0 for e in a):
         return False
-    if not any(a):
-        return True
     roots = _orthogonal_roots(ctx, a)
-    memo: dict[DimVector, bool] = {}
 
+    @cache
     def reach(residual: DimVector) -> bool:
         if not any(residual):
             return True
-        if residual in memo:
-            return memo[residual]
-        ok = False
         for beta in roots:
             if all(x <= r for x, r in zip(beta, residual)):
                 if reach(tuple(r - x for r, x in zip(residual, beta))):
-                    ok = True
-                    break
-        memo[residual] = ok
-        return ok
+                    return True
+        return False
 
     return reach(a)
 
@@ -251,8 +243,8 @@ def oracle_canonical(ctx: LambdaContext, a: Sequence[int]) -> tuple[DimVector, .
 
 def refines(parts: Iterable[Sequence[int]], targets: Iterable[Sequence[int]]) -> bool:
     """Partition-refinement test, kept local so the oracle stays self-contained."""
-    parts = sorted(tuple(int(x) for x in v) for v in parts)
-    targets = sorted((tuple(int(x) for x in v) for v in targets), key=lambda t: (-sum(t), t))
+    parts = sorted(map(integer_entries, parts))
+    targets = sorted(map(integer_entries, targets), key=lambda t: (-sum(t), t))
 
     def assign(remaining: tuple, queue: tuple) -> bool:
         if not queue:
@@ -318,20 +310,13 @@ def check_deltasum(ctx: LambdaContext, m: int) -> CheckReport:
 
 
 def _dynkin_positive_roots(q: Quiver) -> list[DimVector]:
-    """All positive roots of a Dynkin quiver by reflection closure (finite)."""
-    loopfree = [v for v in q.vertices if q.is_loopfree(v)]
-    found = {coordinate_vector(q, v) for v in loopfree}
-    frontier = list(found)
-    while frontier:
-        vec = frontier.pop()
-        for v in loopfree:
-            image = simple_reflection(q, v, vec)
-            if all(x >= 0 for x in image) and image not in found:
-                found.add(image)
-                frontier.append(image)
-        if len(found) > 10_000:
-            raise ResourceLimit("root closure did not stay finite; is the quiver Dynkin?")
-    return sorted(found)
+    """All positive roots of a Dynkin quiver by reflection closure.
+
+    No entry of a Dynkin positive root exceeds 6, the largest coefficient of
+    E8's highest root, so the box below (6, ..., 6) holds them all.
+    """
+    simples = [coordinate_vector(q, v) for v in q.vertices if q.is_loopfree(v)]
+    return sorted(_closure(q, simples, (6,) * q.n))
 
 
 def check_dynkvec(q: Quiver, box_bound: int) -> CheckReport:
@@ -382,6 +367,14 @@ def added_vertex_split(q: Quiver) -> tuple[str, str, DimVector]:
     raise ValueError("no vertex splits off an extended Dynkin quiver at an extending vertex")
 
 
+def _added_vertex(ctx: LambdaContext) -> tuple[str, str, DimVector]:
+    """``added_vertex_split`` of the quiver, under the weight's hypotheses there."""
+    j, k, delta = added_vertex_split(ctx.quiver)
+    if lambda_dot(ctx.weight, delta) != 0 or ctx.weight[ctx.quiver.index(j)] != 0:
+        raise ValueError("the weight must be orthogonal to delta and vanish at the added vertex")
+    return j, k, delta
+
+
 def check_rootineq(ctx: LambdaContext, a: Sequence[int]) -> CheckReport:
     """gamma_k - 1 <= (a', gamma) <= gamma_k for orthogonal roots gamma below delta.
 
@@ -393,10 +386,8 @@ def check_rootineq(ctx: LambdaContext, a: Sequence[int]) -> CheckReport:
     started = time.perf_counter()
     q = ctx.quiver
     a = dim_vector(q, a)
-    j, k, delta = added_vertex_split(q)
+    j, k, delta = _added_vertex(ctx)
     ji, ki = q.index(j), q.index(k)
-    if lambda_dot(ctx.weight, delta) != 0 or ctx.weight[ji] != 0:
-        raise ValueError("the weight must be orthogonal to delta and vanish at the added vertex")
     if a[ji] != 1:
         raise ValueError(f"the vector must have entry 1 at the added vertex {j!r}")
     if not sigma_member(ctx, a):
@@ -426,10 +417,8 @@ def check_maincase(ctx: LambdaContext, box_bound: Sequence[int], m_max: int) -> 
     started = time.perf_counter()
     q = ctx.quiver
     box_bound = dim_vector(q, box_bound)
-    j, k, delta = added_vertex_split(q)
+    j, k, delta = _added_vertex(ctx)
     ji = q.index(j)
-    if lambda_dot(ctx.weight, delta) != 0 or ctx.weight[ji] != 0:
-        raise ValueError("the weight must be orthogonal to delta and vanish at the added vertex")
     eps_j = coordinate_vector(q, j)
     counterexamples = []
     with_m = []
@@ -442,14 +431,11 @@ def check_maincase(ctx: LambdaContext, box_bound: Sequence[int], m_max: int) -> 
             continue
         sigma_count += 1
         a_prime = tuple(0 if i == ji else x for i, x in enumerate(vec))
-        qualifying = None
-        for m in range(m_max + 1):
-            candidate = tuple(m * d - x for d, x in zip(delta, a_prime))
-            if any(x < 0 for x in candidate):
-                continue
-            if nr_member(ctx, candidate):
-                qualifying = m
-                break
+        # nr_member answers False for a candidate with a negative entry
+        qualifying = next(
+            (m for m in range(m_max + 1) if nr_member(ctx, tuple(m * d - x for d, x in zip(delta, a_prime)))),
+            None,
+        )
         if qualifying is None:
             without_m.append(list(vec))
             continue
@@ -486,36 +472,24 @@ def check_support_split(
     part_j, part_k = tuple(part_j), tuple(part_k)
     if sorted(part_j + part_k) != sorted(q.vertices) or set(part_j) & set(part_k):
         raise ValueError("the two parts must partition the vertex set")
-    crossing = [
-        arrow
-        for arrow in q.arrows
-        if (arrow[0] in part_j) != (arrow[1] in part_j)
-    ]
+    crossing = [arrow for arrow in q.arrows if (arrow[0] in part_j) != (arrow[1] in part_j)]
     if len(crossing) > 1:
         raise ValueError("the parts must be joined by at most one arrow")
     a_j = tuple(x if v in part_j else 0 for v, x in zip(q.vertices, a))
     a_k = tuple(x - y for x, y in zip(a, a_j))
     if crossing:
-        arrow = crossing[0]
-        j = arrow[0] if arrow[0] in part_j else arrow[1]
-        k = arrow[1] if arrow[0] in part_j else arrow[0]
+        j, k = crossing[0] if crossing[0][0] in part_j else crossing[0][::-1]
         ji, ki = q.index(j), q.index(k)
         if lambda_dot(ctx.weight, a_j) != 0:
             raise ValueError("the weight must be orthogonal to the first side")
         one_one = a[ji] == 1 and a[ki] == 1
-        multiple = False
-        if not one_one and a[ji] == 1:
-            sub = restrict(q, part_k)
-            shape = classify_shape(sub)
-            if shape.kind is ShapeKind.EXTENDED_DYNKIN and k in shape.extending:
-                inner = restrict_vector(q, a_k, part_k)
-                delta = shape.delta
-                ratios = {x // d for x, d in zip(inner, delta) if d}
-                multiple = (
-                    len(ratios) == 1
-                    and next(iter(ratios)) >= 2
-                    and inner == tuple(next(iter(ratios)) * d for d in delta)
-                )
+        shape = classify_shape(restrict(q, part_k))
+        # an extending vertex has delta_k = 1, so the multiple is a_k
+        multiple = (
+            a[ji] == 1 and a[ki] >= 2
+            and shape.kind is ShapeKind.EXTENDED_DYNKIN and k in shape.extending
+            and restrict_vector(q, a_k, part_k) == tuple(a[ki] * d for d in shape.delta)
+        )
         if not (one_one or multiple):
             raise ValueError("the connecting arrow needs entries 1-1 or the delta-multiple shape")
 

@@ -111,13 +111,19 @@ class Quiver:
 # -- vector constructors ---------------------------------------------------
 
 
-def dim_vector(q: Quiver, entries: Iterable[int]) -> DimVector:
-    """Validate and freeze an integer vector indexed by ``q``'s vertices."""
+def integer_entries(entries: Iterable[int]) -> DimVector:
+    """Freeze entries as ints; an entry that is not an integer raises ValueError."""
     entries = tuple(entries)
     vec = tuple(map(int, entries))
     if vec != entries:
         bad = next(e for e, x in zip(entries, vec) if e != x)
         raise ValueError(f"entry {bad!r} is not an integer")
+    return vec
+
+
+def dim_vector(q: Quiver, entries: Iterable[int]) -> DimVector:
+    """Validate and freeze an integer vector indexed by ``q``'s vertices."""
+    vec = integer_entries(entries)
     if len(vec) != q.n:
         raise DimensionMismatch(f"expected {q.n} entries, got {len(vec)}")
     return vec
@@ -212,30 +218,23 @@ def restrict_vector(q: Quiver, a: Sequence[int], keep: Iterable[str]) -> DimVect
 
 
 def connected_components(q: Quiver, within: Iterable[str] | None = None) -> list[tuple[str, ...]]:
-    """Connected components of the underlying graph, restricted to ``within``."""
-    pool = list(q.vertices) if within is None else [v for v in q.vertices if v in set(within)]
-    pool_set = set(pool)
-    neighbours: dict[str, set[str]] = {v: set() for v in pool}
-    for tail, head in q.arrows:
-        if tail in pool_set and head in pool_set and tail != head:
-            neighbours[tail].add(head)
-            neighbours[head].add(tail)
-    seen: set[str] = set()
-    out = []
-    for v in pool:
-        if v in seen:
+    """Connected components of the underlying graph (nonzero Cartan entries), restricted to ``within``."""
+    keep = set(q.vertices if within is None else within)
+    pool = [i for i, v in enumerate(q.vertices) if v in keep]
+    cartan = q.cartan_matrix()
+    out, seen = [], set()
+    for i in pool:
+        if i in seen:
             continue
-        comp = []
-        stack = [v]
-        seen.add(v)
+        comp, stack = [], [i]
+        seen.add(i)
         while stack:
             u = stack.pop()
             comp.append(u)
-            for w in neighbours[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        out.append(tuple(sorted(comp, key=q.index)))
+            linked = [w for w in pool if w not in seen and cartan[u][w]]
+            seen.update(linked)
+            stack += linked
+        out.append(tuple(q.vertices[u] for u in sorted(comp)))
     return out
 
 

@@ -239,6 +239,9 @@ def test_check_refinement_examples(kron0):
     with pytest.raises(SumMismatch, match="different vertex sets"):
         qd.check_refinement([(1, 1)], [(1, 1), (0,)])
     assert qd.check_refinement([], [])
+    with pytest.raises(ValueError, match="1.5 is not an integer"):
+        qd.check_refinement([(1.5,)], [(1,)])
+    assert qd.check_refinement([(2.0,), (Fraction(4, 2),)], [(4,)])
 
 
 def test_check_refinement_with_many_parts():

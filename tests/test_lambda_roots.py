@@ -48,6 +48,17 @@ def test_sigma_examples(ex4_ctx):
     assert qd.in_sigma_lambda(qd.LambdaContext(K3, (0, 0)), (2, 2))
 
 
+def test_zero_and_negative_vectors_are_neither_roots_nor_members():
+    # a fresh context has the zero box, so (1, -1, 0, 0) is outside it and (-1, 0, 0, 0) inside
+    for warm in (False, True):
+        ctx = qd.LambdaContext(EX4, EX4_WEIGHT)
+        if warm:
+            assert qd.in_sigma_lambda(ctx, (1, 3, 2, 1))
+        for a in ((-1, 0, 0, 0), (0, 0, 0, 0), (1, -1, 0, 0)):
+            assert not qd.in_R_lambda_plus(ctx, a), (warm, a)
+            assert not qd.in_sigma_lambda(ctx, a), (warm, a)
+
+
 def test_sigma_upto_examples():
     kron0 = qd.LambdaContext(KRONECKER, (0, 0))
     assert set(qd.sigma_lambda_upto(kron0, (2, 2))) == {(1, 0), (0, 1), (1, 1)}

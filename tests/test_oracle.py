@@ -86,6 +86,9 @@ def test_refines_local():
     assert oracle.refines([(1, 0), (0, 1)], [(1, 1)])
     assert oracle.refines([(1, 1), (1, 1)], [(1, 1), (1, 1)])
     assert not oracle.refines([(2, 0), (0, 2)], [(1, 1), (1, 1)])
+    with pytest.raises(ValueError, match="0.5 is not an integer"):
+        oracle.refines([(0.5,), (1.9,)], [(1,)])
+    assert oracle.refines([(2.0,), (Fraction(4, 2),)], [(4,)])
 
 
 def test_check_deltasum():
@@ -111,6 +114,21 @@ def test_check_dynkvec():
         assert report.instances_checked == (2 * bound + 1) ** n - 1
     with pytest.raises(ValueError):
         oracle.check_dynkvec(KRONECKER, 2)
+
+
+def test_dynkin_closure_root_counts():
+    counts = {f"A{n}": n * (n + 1) // 2 for n in range(1, 9)}
+    counts |= {f"D{n}": n * (n - 1) for n in range(4, 9)}
+    counts |= {"E6": 36, "E7": 63, "E8": 120}
+    caps = qd.Caps(max_bound_sum=30)
+    for name, count in counts.items():
+        q = qd.dynkin_quiver(name)
+        roots = oracle._dynkin_positive_roots(q)
+        assert len(roots) == count, name
+        if name in ("A1", "A2", "A3", "A4", "D4", "D5"):
+            assert roots == list(qd.positive_roots_upto(q, (6,) * q.n, caps)), name
+    # the highest root of E8 reaches the box edge the closure stops at
+    assert max(map(max, oracle._dynkin_positive_roots(qd.dynkin_quiver("E8")))) == 6
 
 
 def test_added_vertex_split():

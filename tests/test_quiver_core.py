@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -106,6 +107,53 @@ def test_connected_components():
     assert has_connected_support(q, (1, 1, 0, 0))
     assert not has_connected_support(q, (1, 0, 1, 0))
     assert not has_connected_support(q, (0, 0, 0, 0))
+
+
+def _components_by_arrows(q, within=None):
+    """Reference walk over a neighbour dict built from the arrows."""
+    pool = list(q.vertices) if within is None else [v for v in q.vertices if v in set(within)]
+    neighbours = {v: set() for v in pool}
+    for tail, head in q.arrows:
+        if tail in neighbours and head in neighbours and tail != head:
+            neighbours[tail].add(head)
+            neighbours[head].add(tail)
+    seen, out = set(), []
+    for v in pool:
+        if v in seen:
+            continue
+        comp, stack = [], [v]
+        seen.add(v)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for w in neighbours[u] - seen:
+                seen.add(w)
+                stack.append(w)
+        out.append(tuple(sorted(comp, key=q.index)))
+    return out
+
+
+def test_connected_components_match_the_arrow_walk():
+    rng = random.Random(20261018)
+    shapes = {"loop": 0, "parallel": 0, "isolated": 0}
+    for _ in range(2000):
+        n = rng.randint(0, 8)
+        vertices = [f"v{i}" for i in range(n)]
+        rng.shuffle(vertices)
+        arrows = []
+        for _ in range(rng.randint(0, 2 * n)):
+            arrows += [[rng.choice(vertices), rng.choice(vertices)]] * rng.choice((1, 1, 2, 3))
+        q = qd.Quiver(vertices, arrows)
+        shapes["loop"] += any(t == h for t, h in q.arrows)
+        shapes["parallel"] += len(set(q.arrows)) < len(q.arrows)
+        shapes["isolated"] += any(q.degree(v) == 0 for v in vertices)
+        for within in (
+            None,
+            rng.sample(vertices, rng.randint(0, n)),
+            tuple(rng.sample(vertices, rng.randint(0, n))) + ("w", "v9"),
+        ):
+            assert connected_components(q, within) == _components_by_arrows(q, within), (q, within)
+    assert min(shapes.values()) >= 100, shapes
 
 
 def test_quiver_json_round_trip():
