@@ -9,7 +9,9 @@ multiset, of members with smaller entry sums, and visiting the roots by
 (entry sum, lex) decides each from the members before it. The norm keeps
 its definition, a maximum over decompositions into all orthogonal roots,
 in a table of its own, so the decomposer's check that the Sigma maximum
-equals it compares two computations. Tables are filled bottom-up.
+equals it compares two computations; the real roots it leaves out, sums
+of orthogonal coordinate vectors, are read off the weight and p, never off
+Sigma. Tables are filled bottom-up.
 """
 
 from __future__ import annotations
@@ -24,12 +26,11 @@ from .quiver_core import (
     Quiver,
     WeightVector,
     dim_vector,
-    p_form,
     weight_vector,
     zero_vector,
 )
 from .reflection_walk import PairState, _integer_weight, descend
-from .root_system import box_strides, classify_root, positive_roots_upto
+from .root_system import _roots_with_p, box_strides, classify_root
 
 
 def _below(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -119,10 +120,9 @@ class LambdaContext:
             self.caps.check_box(box)
         except ResourceLimit:
             box = bound
-        roots = positive_roots_upto(self.quiver, box, self.caps)
-        if any(self._scaled):
-            roots = [b for b in roots if sum(map(mul, self._scaled, b)) == 0]
-        self._roots = {b: p_form(self.quiver, b) for b in sorted(roots, key=lambda b: (sum(b), b))}
+        roots = _roots_with_p(self.quiver, box, self.caps)
+        kept = sorted((b for b in roots if sum(map(mul, self._scaled, b)) == 0), key=lambda b: (sum(b), b))
+        self._roots = {b: roots[b] for b in kept}
         self._bound = box
         self._tables.clear()
 
@@ -170,14 +170,19 @@ class LambdaContext:
     def _table(self, kind: str) -> BoxTable:
         """The "sigma" or "norm" table of the classified box, built on first use.
 
-        The norm table adds every root. Sigma decides roots by (entry sum, lex): a root's
-        entry is its best proper split, and a root that beats it joins Sigma and the table.
+        The norm table leaves out each real root of entry sum above 1 where the weight is 0:
+        a sum of coordinate vectors there (real roots avoid loops), roots with p = 0, so no
+        best changes. Sigma decides roots by (entry sum, lex): a root's entry is its best
+        proper split, and a root that beats it joins Sigma and the table.
         """
         if kind not in self._tables:
             table = self._tables[kind] = BoxTable(self._bound)
             for beta, p in self._roots.items():
-                split = None if kind == "norm" else self._split.setdefault(beta, table[beta])
-                if split is None or split < p:
+                if kind == "norm":
+                    keep = p or sum(beta) == 1 or any(map(mul, self._scaled, beta))
+                else:
+                    keep = (split := self._split.setdefault(beta, table[beta])) is None or split < p
+                if keep:
                     table.add(beta, p)
         return self._tables[kind]
 

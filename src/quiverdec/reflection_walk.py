@@ -192,13 +192,14 @@ def descend(q: Quiver, pair: PairState) -> tuple[PairState, tuple[str, ...]]:
     Stops early at a negative entry; each step lowers the total, so it ends.
     """
     pairs = _IntegerPairs(q, pair)
-    state, seq = pairs.root, ()
+    state, seq = pairs.root, []
     while min(state[1], default=0) >= 0:
         down = next(((v, nxt) for v, nxt in pairs.steps(*state) if sum(nxt[1]) < sum(state[1])), None)
         if down is None:
             break
-        seq, state = seq + (down[0],), down[1]
-    return (pairs.pair(state) if seq else pairs.start), seq
+        seq.append(down[0])
+        state = down[1]
+    return (pairs.pair(state) if seq else pairs.start), tuple(seq)
 
 
 def strip_simple(q: Quiver, pair: PairState) -> tuple[str, PairState] | None:

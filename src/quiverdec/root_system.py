@@ -3,9 +3,9 @@
 Roots are classified by iterative reflection descent: repeatedly reflect a
 positive vector down at a loopfree vertex pairing positively with it. The
 descent ends at a coordinate vector (real root), inside the fundamental
-region (imaginary root), or leaves the positive orthant (not a root).
-Everything is exact integer arithmetic; enumeration routines are bounded
-by :class:`~quiverdec.caps.Caps`.
+region (imaginary root), or leaves the positive orthant (not a root). A
+box's roots run it upwards from the simple roots and a pruned search of the
+fundamental region. Everything is exact integer arithmetic, bounded by Caps.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from .caps import DEFAULT_CAPS, Caps
@@ -114,32 +115,55 @@ def iter_box(bound: Sequence[int]):
 
 
 def positive_roots_upto(q: Quiver, bound: Sequence[int], caps: Caps = DEFAULT_CAPS) -> tuple[DimVector, ...]:
-    """All positive roots componentwise below ``bound``, ascending lex.
+    """All positive roots componentwise below ``bound``, ascending lex (see :func:`_roots_with_p`)."""
+    return tuple(sorted(_roots_with_p(q, bound, caps)))
 
-    One ascending pass, one lookup per vector: the first descent step of
-    :func:`classify_root` only lowers one entry, so it lands on a vector
-    classified earlier, or leaves the orthant.
+
+def _roots_with_p(q: Quiver, bound: Sequence[int], caps: Caps) -> dict[DimVector, int]:
+    """Each positive root componentwise below ``bound``, with its p.
+
+    Kac: a positive root that is no loopfree coordinate vector and lies outside the
+    fundamental region F pairs positively with a loopfree e_i, and s_i lowers it to a
+    positive root. So the box's roots close those coordinate vectors and F's vectors with
+    connected support under reflections that stay in the box, and each keeps its seed's p.
+    A vertex of bound 0 pairs <= 0, so a reflection there leaves the box or fixes.
     """
     bound = dim_vector(q, bound)
     if any(b < 0 for b in bound):
         raise ValueError("bound must be nonnegative")
     caps.check_box(bound)
-    strides = box_strides(bound)
-    rows = [
-        (i, [(j, c) for j, c in enumerate(q.cartan_matrix()[i]) if c])
-        for i, v in enumerate(q.vertices)
-        if q.is_loopfree(v)
-    ]
-    classes = [RootClass.NOT_ROOT]  # entry k classifies the k-th vector of the box
-    for k, a in enumerate(iter_box(bound), start=1):
-        for i, row in rows:
-            c = sum(x * a[j] for j, x in row)
-            if c > 0 and sum(a) > 1:
-                classes.append(RootClass.NOT_ROOT if c > a[i] else classes[k - c * strides[i]])
-                break
-        else:
-            classes.append(classify_root(q, a))  # a simple root, or no descent
-    return tuple(a for a, cls in zip(iter_box(bound), classes[1:]) if cls.is_root)
+    live = [i for i, b in enumerate(bound) if b]
+    top = [bound[i] for i in live]
+    form = [[q.cartan_matrix()[i][j] for j in live] for i in live]
+    free = [k for k, i in enumerate(live) if q.is_loopfree(q.vertices[i])]
+    # F, coordinate by coordinate: a prefix is cut once some loopfree row stays
+    # positive with every remaining coordinate at its most negative term
+    slack = [[sum(min(0, form[k][j]) * top[j] for j in range(d, len(live))) for k in free]
+             for d in range(len(live) + 1)]
+    cone = [((), [0] * len(free))]
+    for d, b in enumerate(top):
+        column = [form[k][d] for k in free]
+        cone = [(a + (x,), row) for a, part in cone for x in range(b + 1)
+                for row in [[s + w * x for s, w in zip(part, column)]]
+                if all(s + r <= 0 for s, r in zip(row, slack[d + 1]))]
+
+    def place(a: Sequence[int]) -> DimVector:
+        entries = iter(a)
+        return tuple(next(entries) if b else 0 for b in bound)
+
+    connected = cache(lambda supp: has_connected_support(q, place(supp)))  # few supports recur
+    roots = {tuple(int(j == k) for j in range(len(live))): 0 for k in free}
+    roots.update((a, 1 - sum(x * sum(map(mul, row, a)) for x, row in zip(a, form)) // 2)
+                 for a, _ in cone if any(a) and connected(tuple(map(bool, a))))
+    frontier = list(roots)
+    while frontier:
+        a = frontier.pop()
+        for k in free:
+            x = a[k] - sum(map(mul, form[k], a))
+            if 0 <= x <= top[k] and (image := a[:k] + (x,) + a[k + 1:]) not in roots:
+                roots[image] = roots[a]
+                frontier.append(image)
+    return roots if len(live) == q.n else {place(a): p for a, p in roots.items()}
 
 
 def box_strides(bound: Sequence[int]) -> tuple[int, ...]:

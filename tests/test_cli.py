@@ -143,6 +143,26 @@ def test_resource_limits_name_the_setting(capsys):
     assert rc == 3 and "(max_box_volume, QUIVERDEC_MAX_BOX, --max-box)" in err
 
 
+def test_huge_quiver_gets_an_answer_or_the_cap(tmp_path, capsys):
+    # a path of 1,500 vertices with three adjacent vertices of positive bound:
+    # an answer or the cap's refusal, never a RecursionError
+    n, first = 1500, 700
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"vertices": [f"v{i}" for i in range(n)],
+                                "arrows": [[f"v{i}", f"v{i + 1}"] for i in range(n - 1)]}))
+    q = parse_quiver_file(str(path))
+
+    def placed(small):
+        return tuple(small[i - first] if first <= i < first + 3 else 0 for i in range(n))
+
+    roots = tuple(sorted(map(placed, qd.positive_roots_upto(qd.dynkin_quiver("A3"), (1, 1, 1)))))
+    assert len(roots) == 6 and qd.positive_roots_upto(q, placed((1, 1, 1))) == roots
+    rc, out, err = run(capsys, "roots", "--quiver", str(path), "--bound", ",".join(map(str, placed((1, 1, 1)))))
+    assert (rc, err) == (0, "") and out.splitlines() == [",".join(map(str, b)) for b in roots]
+    rc, out, err = run(capsys, "roots", "--quiver", str(path), "--bound", ",".join(map(str, placed((9, 9, 9)))))
+    assert (rc, out) == (3, "") and "bound sum 27 exceeds cap 24 (max_bound_sum" in err
+
+
 def test_over_cap_decompose_answers_after_descent(capsys):
     rc, out, _ = run(capsys, "decompose", "--quiver", EX4, "--lambda", "0,1,-2,1", "--alpha", "4,12,8,4")
     assert rc == 0

@@ -1,9 +1,10 @@
 """The Sigma-first engine against per-vector classification and the oracle.
 
-The box pass in ``positive_roots_upto`` and the tables behind Sigma, the
-norm, the best proper split and additive-closure membership are checked
-against the definitional paths, at boxes up to twice delta of the
-extended Dynkin quivers, where the oracle still enumerates quickly.
+The root enumeration in ``positive_roots_upto`` is checked against the
+lex pass it replaced, and the tables behind Sigma, the norm, the best
+proper split and additive-closure membership against the definitional
+paths, at boxes up to twice delta of the extended Dynkin quivers, where
+the oracle still enumerates quickly.
 """
 
 import itertools
@@ -17,7 +18,7 @@ from corpus import build_corpus
 from quiverdec import cli, oracle
 from quiverdec.errors import InadmissibleStep
 from quiverdec.quiver_core import pairing_with_simple, restrict_vector
-from quiverdec.root_system import iter_box
+from quiverdec.root_system import _roots_with_p, box_strides, iter_box
 
 EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
 EX4_WEIGHT = (0, 1, -2, 1)
@@ -54,6 +55,104 @@ def test_box_pass_matches_descent_and_oracle(q, bound):
     roots = qd.positive_roots_upto(q, bound, caps)
     assert roots == tuple(a for a in iter_box(bound) if qd.classify_root(q, a).is_root)
     assert set(roots) == oracle.positive_roots_in_box(q, bound, caps)
+
+
+# -- the cone search and closure against the lex pass ----------------------------
+
+
+def _lex_pass(q, bound):
+    """The positive roots of the box by one ascending lex pass, one lookup per vector.
+
+    A vector pairing positively at a loopfree vertex reflects to a smaller
+    vector classified earlier, or leaves the orthant; the others are
+    classified by descent.
+    """
+    strides = box_strides(bound)
+    cartan = q.cartan_matrix()
+    rows = [(i, [(j, c) for j, c in enumerate(cartan[i]) if c]) for i, v in enumerate(q.vertices) if q.is_loopfree(v)]
+    is_root = [False]  # entry k decides the k-th vector of the box
+    for k, a in enumerate(iter_box(bound), start=1):
+        for i, row in rows:
+            c = sum(x * a[j] for j, x in row)
+            if c > 0 and sum(a) > 1:
+                is_root.append(c <= a[i] and is_root[k - c * strides[i]])
+                break
+        else:
+            is_root.append(qd.classify_root(q, a).is_root)
+    return tuple(a for a, root in zip(iter_box(bound), is_root[1:]) if root)
+
+
+RAISED = qd.Caps(max_bound_sum=120)
+AFFINE_DELTA_BOXES = (("A1", 6), ("A2", 3), ("A3", 2), ("A5", 1), ("D5", 1), ("A4", 2), ("D4", 2), ("D6", 1), ("E6", 1))
+STAR = qd.Quiver([str(i) for i in range(6)], [["0", str(i)] for i in range(1, 6)])
+K3 = qd.Quiver(["0", "1"], [["0", "1"]] * 3)
+
+
+def _affine_box(name, m):
+    q = qd.extended_dynkin_quiver(name)
+    return q, _multiple(m, qd.classify_shape(q).delta)
+
+
+def _permuted(q, bound, rng):
+    """The same quiver and box with the vertices in a seeded order."""
+    order = list(range(q.n))
+    rng.shuffle(order)
+    return qd.Quiver([q.vertices[i] for i in order], q.arrows), tuple(bound[i] for i in order)
+
+
+def _random_quiver(rng, n):
+    """Seeded quiver on ``n`` vertices; repeated pairs give parallel arrows and loops."""
+    vertices = [str(i) for i in range(n)]
+    return qd.Quiver(vertices, [[rng.choice(vertices), rng.choice(vertices)] for _ in range(rng.randint(0, 2 * n + 1))])
+
+
+def _random_boxes(seed, count):
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        q = _random_quiver(rng, rng.randint(1, 5))
+        cases.append((q, tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(q.n))))
+    assert any(not q.is_loopfree(v) for q, _ in cases for v in q.vertices)
+    assert any(len(set(q.arrows)) < len(q.arrows) for q, _ in cases)
+    assert any(0 in bound and any(bound) for _, bound in cases)
+    return cases
+
+
+def _check_enumeration(q, bound, caps=qd.DEFAULT_CAPS):
+    roots = qd.positive_roots_upto(q, bound, caps)
+    assert roots == _lex_pass(q, bound), (q, bound)
+    carried = _roots_with_p(q, bound, caps)
+    assert tuple(sorted(carried)) == roots
+    assert all(p == qd.p_form(q, b) for b, p in carried.items()), (q, bound)
+
+
+def test_enumeration_matches_the_lex_pass_on_the_corpus():
+    boxes = {(q, alpha) for _, q, _, alpha, _ in build_corpus(minimum=200)}
+    for q, alpha in boxes:
+        _check_enumeration(q, alpha)
+
+
+def test_enumeration_matches_the_lex_pass_on_the_benchmark_boxes():
+    rng = random.Random(11)
+    for name, m in AFFINE_DELTA_BOXES:
+        q, bound = _affine_box(name, m)
+        _check_enumeration(q, bound)
+        _check_enumeration(*_permuted(q, bound, rng))
+
+
+@pytest.mark.parametrize(
+    "q, bound",
+    [_affine_box("E6", 3), _affine_box("E7", 2), _affine_box("D4", 6), (STAR, (8, 4, 4, 4, 4, 4)), (K3, (60, 60))],
+    ids=["E6-3delta", "E7-2delta", "D4-6delta", "5-arm-star", "3-kronecker-60"],
+)
+def test_enumeration_matches_the_lex_pass_on_large_boxes(q, bound):
+    _check_enumeration(q, bound, RAISED)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_enumeration_matches_the_lex_pass_on_random_quivers(seed):
+    for q, bound in _random_boxes(seed, 200):
+        _check_enumeration(q, bound)
 
 
 def _oracle_answers(ctx, a):
@@ -154,8 +253,9 @@ def test_sigma_query_between_two_boxes():
     ids=["kronecker-zero", "D4-delta-0", "ex4-paper"],
 )
 def test_table_counts_match_enumeration(q, lam, box):
-    # the norm table counts root decompositions attaining the norm, often
-    # more than one; the Sigma table counts maximizing Sigma multisets
+    # the norm table's best is the maximum over all root decompositions; it
+    # counts the decompositions into its items attaining it, often more than
+    # one; the Sigma table counts maximizing Sigma multisets
     ctx = qd.LambdaContext(q, lam)
     norms, sigmas = ctx.norm_table(box), ctx.sigma_table(box)
     for a in iter_box(box):
@@ -165,7 +265,47 @@ def test_table_counts_match_enumeration(q, lam, box):
         ):
             sums = [sum(qd.p_form(q, part) for part in dec) for dec in decs]
             assert table[a] == max(sums, default=None), a
-            assert table.count[table.index(a)] == (sums.count(table[a]) if decs else 0), a
+            kept = [s for s, dec in zip(sums, decs) if all(part in table.items for part in dec)]
+            assert table.count[table.index(a)] == kept.count(table[a]), a
+
+
+# -- the pruned norm table against an unpruned knapsack --------------------------
+
+
+def _unpruned_norm(q, lam, bound):
+    """Best p-sum over decompositions into every orthogonal root of the box, by mixed-radix index."""
+    weight = qd.weight_vector(q, lam)
+    roots = {b: qd.p_form(q, b) for b in _lex_pass(q, bound) if qd.lambda_dot(weight, b) == 0}
+    best = {(0,) * q.n: 0}
+    for a in iter_box(bound):  # ascending lex, so each a - b is decided before a
+        values = [best[rest] + p for b, p in roots.items() if (rest := tuple(x - y for x, y in zip(a, b))) in best]
+        if values:
+            best[a] = max(values)
+    return [0] + [best.get(a) for a in iter_box(bound)], roots
+
+
+def _norm_cases():
+    cases = {(q, lam, alpha) for _, q, lam, alpha, _ in build_corpus(minimum=200)}
+    for q, bound in (_affine_box("D4", 2), _affine_box("E6", 1)):
+        delta = qd.classify_shape(q).delta
+        cases |= {(q, (0,) * q.n, bound), (q, _orthogonal_to_delta(delta, 3), bound)}
+    cases.add((D4, (1, -1, 0, 1, -1), _multiple(2, D4_DELTA)))
+    cases.add((qd.extended_dynkin_quiver("E6"), (0, 1, -1, 0, 2, -2, 0), _affine_box("E6", 1)[1]))
+    rng = random.Random(77)
+    for q, bound in _random_boxes(78, 300):
+        cases.add((q, tuple(rng.choice((0, 0, 0, 1, -1, Fraction(1, 2), -2)) for _ in range(q.n)), bound))
+    return cases
+
+
+def test_pruned_norm_matches_the_unpruned_knapsack():
+    pruned = 0
+    for q, lam, bound in _norm_cases():
+        table = qd.LambdaContext(q, lam).norm_table(bound)
+        best, roots = _unpruned_norm(q, lam, bound)
+        assert table.best == best, (q, lam, bound)
+        assert set(table.items) <= set(roots)
+        pruned += len(table.items) < len(roots)
+    assert pruned >= 50
 
 
 # -- admissible descent against the breadth-first search and the direct path ----

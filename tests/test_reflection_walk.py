@@ -315,14 +315,15 @@ def _reference_orbit(q, pair, budget):
 def _reference_descend(q, pair):
     from quiverdec.reflection_walk import is_admissible, reflect_pair
 
-    seq = ()
+    seq = []
     while min(pair.dim) >= 0:
         down = [v for v in q.vertices if is_admissible(q, pair, v)
                 and qd.bilinear_form(q, pair.dim, qd.coordinate_vector(q, v)) > 0]
         if not down:
             break
-        pair, seq = reflect_pair(q, pair, down[0]), seq + (down[0],)
-    return pair, seq
+        pair = reflect_pair(q, pair, down[0])
+        seq.append(down[0])
+    return pair, tuple(seq)
 
 
 def _large_denominator_pairs(seed, count=4):
@@ -369,3 +370,13 @@ def test_integer_search_and_descent_match_the_fraction_path(seed):
 
 def test_integer_search_matches_the_fraction_path_at_every_budget():
     _check_against_fraction_path(EX4, BOUNDARY, range(1, ORBIT_BUDGET + 1))
+
+
+def test_long_descent_takes_one_step_per_reflection():
+    # Kronecker (n, n+1) at (1, -n/(n+1)) descends by n reflections; the
+    # sequence is built in time linear in its length
+    n = 20_000
+    pair = qd.make_pair(KRONECKER, (1, Fraction(-n, n + 1)), (n, n + 1))
+    state, seq = qd.descend(KRONECKER, pair)
+    assert isinstance(seq, tuple) and len(seq) == n
+    assert (state, seq) == _reference_descend(KRONECKER, pair)
