@@ -151,7 +151,7 @@ def _roots_with_p(q: Quiver, bound: Sequence[int], caps: Caps) -> dict[DimVector
         entries = iter(a)
         return tuple(next(entries) if b else 0 for b in bound)
 
-    connected = cache(lambda supp: has_connected_support(q, place(supp)))  # few supports recur
+    connected = cache(lambda supp: has_connected_support(q, place(supp)))  # many vectors share a support
     roots = {tuple(int(j == k) for j in range(len(live))): 0 for k in free}
     roots.update((a, 1 - sum(x * sum(map(mul, row, a)) for x, row in zip(a, form)) // 2)
                  for a, _ in cone if any(a) and connected(tuple(map(bool, a))))
