@@ -43,14 +43,20 @@ class BoxTable:
     ``table[a]`` is None when no multiset sums to ``a``; ``count`` holds, by
     mixed-radix index, how many attain the best; ``items`` maps each added
     item to its p. Adding an item is one unbounded-knapsack pass, so each
-    multiset is counted once.
+    multiset is counted once. The p = 0 coordinate vectors at ``seeds`` start
+    added, with no ``items`` entry: a vector on their support is one multiset.
     """
 
-    def __init__(self, bound: DimVector):
+    def __init__(self, bound: DimVector, seeds: Iterable[int] = ()):
         self.bound, self.strides = bound, box_strides(bound)
         size = self.index(bound) + 1
-        self.best: list[int | None] = [0] + [None] * (size - 1)
-        self.count = [1] + [0] * (size - 1)
+        self.best: list[int | None] = [None] * size
+        self.count = [0] * size
+        cells = [0]
+        for i in seeds:
+            cells = [c + k * self.strides[i] for k in range(bound[i] + 1) for c in cells]
+        for c in cells:
+            self.best[c], self.count[c] = 0, 1
         self.items: dict[DimVector, int] = {}
 
     def index(self, a: Sequence[int]) -> int:
@@ -170,16 +176,20 @@ class LambdaContext:
     def _table(self, kind: str) -> BoxTable:
         """The "sigma" or "norm" table of the classified box, built on first use.
 
-        The norm table leaves out each real root of entry sum above 1 where the weight is 0:
-        a sum of coordinate vectors there (real roots avoid loops), roots with p = 0, so no
-        best changes. Sigma decides roots by (entry sum, lex): a root's entry is its best
-        proper split, and a root that beats it joins Sigma and the table.
+        Both tables seed the roots of entry sum 1 and p = 0, which come first. The norm
+        table leaves out every other real root where the weight is 0, a sum of those (real
+        roots avoid loops), so no best changes. Sigma decides roots by (entry sum, lex): a
+        root's entry is its best proper split, and one that beats it joins Sigma and the table.
         """
         if kind not in self._tables:
-            table = self._tables[kind] = BoxTable(self._bound)
+            seeds = {b: b.index(1) for b, p in self._roots.items() if sum(b) == 1 and not p}
+            table = self._tables[kind] = BoxTable(self._bound, seeds.values())
             for beta, p in self._roots.items():
+                if beta in seeds:  # seeded, with no proper split: never read its cell
+                    table.items[beta], self._split[beta] = p, None
+                    continue
                 if kind == "norm":
-                    keep = p or sum(beta) == 1 or any(map(mul, self._scaled, beta))
+                    keep = p or any(map(mul, self._scaled, beta))
                 else:
                     keep = (split := self._split.setdefault(beta, table[beta])) is None or split < p
                 if keep:

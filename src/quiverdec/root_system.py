@@ -13,9 +13,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -200,14 +199,15 @@ class QuiverShape:
 def _radical(cartan) -> list[DimVector] | None:
     """Primitive integer basis of the form's radical, or None unless semidefinite.
 
-    Symmetric elimination over the rationals, pivoting on the diagonal in
-    vertex order. The form is positive semidefinite exactly when no pivot is
+    Symmetric elimination in integers, pivoting on the diagonal in vertex order;
+    rows clear by positive multiples and divide by their gcd, so each pivot keeps
+    its rational sign. The form is positive semidefinite exactly when no pivot is
     negative and every zero pivot has a zero row, so its sign and its radical
-    are one computation. Each zero pivot is a free index, and
-    back-substitution through the pivot rows gives its radical vector.
+    are one computation. Each zero pivot is a free index, and back-substitution
+    through the pivot rows, scaled to stay integral, gives its radical vector.
     """
     n = len(cartan)
-    m = [[Fraction(x) for x in row] for row in cartan]
+    m = [list(row) for row in cartan]
     free = []
     for k in range(n):
         pivot = m[k][k]
@@ -217,20 +217,20 @@ def _radical(cartan) -> list[DimVector] | None:
             free.append(k)
             continue
         for i in range(k + 1, n):
-            factor = m[i][k] / pivot
-            if factor:
-                m[i][k:] = [x - factor * y for x, y in zip(m[i][k:], m[k][k:])]
+            if c := m[i][k]:
+                row = [pivot * x - c * y for x, y in zip(m[i][k:], m[k][k:])]
+                m[i][k:] = [x // g for x in row] if (g := gcd(*row)) else row
     basis = []
     for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
+        vec = [int(j == f) for j in range(n)]
         for k in reversed(range(f)):
-            if m[k][k]:
-                vec[k] = -sum(m[k][j] * vec[j] for j in range(k + 1, n)) / m[k][k]
-        denom = lcm(*(x.denominator for x in vec))
-        ints = [int(x * denom) for x in vec]
-        g = gcd(*ints)
-        basis.append(tuple(x // g for x in ints))
+            if pivot := m[k][k]:  # scale by pivot / g so that vec[k] = -s / pivot is an integer
+                s = sum(map(mul, m[k][k + 1:], vec[k + 1:]))
+                g = gcd(s, pivot)
+                vec = [x * (pivot // g) for x in vec]
+                vec[k] = -s // g
+        g = gcd(*vec)
+        basis.append(tuple(x // g for x in vec))
     return basis
 
 

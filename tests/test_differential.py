@@ -1,15 +1,19 @@
 """The Sigma-first engine against per-vector classification and the oracle.
 
 The root enumeration in ``positive_roots_upto`` is checked against the
-lex pass it replaced, and the tables behind Sigma, the norm, the best
-proper split and additive-closure membership against the definitional
-paths, at boxes up to twice delta of the extended Dynkin quivers, where
-the oracle still enumerates quickly.
+lex pass it replaced, the seeded tables against one knapsack pass per
+item, the integer radical against the rational elimination, and the
+tables behind Sigma, the norm, the best proper split and additive-closure
+membership against the definitional paths, at boxes up to twice delta of
+the extended Dynkin quivers, where the oracle still enumerates quickly.
 """
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 import pytest
 
@@ -17,8 +21,9 @@ import quiverdec as qd
 from corpus import build_corpus
 from quiverdec import cli, oracle
 from quiverdec.errors import InadmissibleStep
-from quiverdec.quiver_core import pairing_with_simple, restrict_vector
-from quiverdec.root_system import _roots_with_p, box_strides, iter_box
+from quiverdec.lambda_roots import BoxTable
+from quiverdec.quiver_core import connected_components, pairing_with_simple, restrict_vector
+from quiverdec.root_system import _radical, _roots_with_p, box_strides, iter_box
 
 EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
 EX4_WEIGHT = (0, 1, -2, 1)
@@ -309,6 +314,56 @@ def test_pruned_norm_matches_the_unpruned_knapsack():
     assert pruned >= 50
 
 
+# -- the seeded tables against one knapsack pass per item -------------------------
+
+
+def _pass_per_item(ctx, kind):
+    """The ``kind`` table of the classified box by one pass per kept root, and the splits Sigma read."""
+    table, splits = BoxTable(ctx._bound), {}
+    for beta, p in ctx._roots.items():
+        if kind == "norm":
+            keep = p or sum(beta) == 1 or any(map(mul, ctx._scaled, beta))
+        else:
+            keep = (split := splits.setdefault(beta, table[beta])) is None or split < p
+        if keep:
+            table.add(beta, p)
+    return table, splits
+
+
+def _interleaved(roots):
+    """Does a root of entry sum 1 and p > 0, at a loop vertex, come between two seeded roots?"""
+    ps = [p for b, p in roots.items() if sum(b) == 1]
+    return any(p and 0 in ps[:k] and 0 in ps[k + 1:] for k, p in enumerate(ps))
+
+
+def test_seeded_tables_match_one_pass_per_item():
+    cases = sorted(_norm_cases(), key=repr)
+    rng = random.Random(79)
+    for q, bound in _random_boxes(80, 200):  # a loop vertex between zero-weight loopfree ones
+        if q.n >= 3:
+            q = qd.Quiver(q.vertices, list(q.arrows) + [[q.vertices[1]] * 2])
+            lam = [rng.choice((0, 0, 1, -1)) for _ in range(q.n)]
+            lam[0] = lam[1] = lam[2] = 0
+            cases.append((q, tuple(lam), (1,) * 3 + bound[3:]))
+    partial = interleaved = zero_bound = 0
+    for k, (q, lam, bound) in enumerate(cases):
+        ctx = qd.LambdaContext(q, lam)
+        for kind in ("norm", "sigma")[:: 1 - 2 * (k % 2)]:  # either table first
+            table = getattr(ctx, f"{kind}_table")(bound)
+            reference, splits = _pass_per_item(ctx, kind)
+            assert (table.best, table.count) == (reference.best, reference.count), (q, lam, bound, kind)
+            assert list(table.items.items()) == list(reference.items.items()), (q, lam, bound, kind)
+            if kind == "sigma":
+                assert ctx._split == splits, (q, lam, bound)
+        seeds = [b for b, p in ctx._roots.items() if sum(b) == 1 and not p]
+        for e in seeds:
+            assert qd.max_proper_sum_p(ctx, e) is None and qd.in_sigma_lambda(ctx, e), (q, lam, e)
+        partial += 0 < len(seeds) < sum(map(bool, bound))
+        interleaved += _interleaved(ctx._roots)
+        zero_bound += bool(seeds) and 0 in bound
+    assert partial >= 150 and interleaved >= 50 and zero_bound >= 150, (partial, interleaved, zero_bound)
+
+
 # -- admissible descent against the breadth-first search and the direct path ----
 
 TRIANGLE_DELTA = (0, 1, 1, 1)
@@ -515,3 +570,83 @@ def test_refinement_search_matches_the_oracle():
         with pytest.raises(qd.SumMismatch):  # the oracle does not check sums
             qd.check_refinement(parts, targets + [(0,) * (n - 1) + (1,)])
     assert min(answers.values()) >= 500, answers
+
+
+# -- the integer radical against the rational elimination it replaced -----------
+
+
+def _rational_radical(cartan):
+    """Primitive basis of the form's radical by symmetric elimination over the rationals, or None
+    unless semidefinite: each zero pivot with a zero row is free; back-substitution gives its vector."""
+    n = len(cartan)
+    m = [[Fraction(x) for x in row] for row in cartan]
+    free = []
+    for k in range(n):
+        pivot = m[k][k]
+        if pivot < 0 or (pivot == 0 and any(m[k][k + 1:])):
+            return None
+        if pivot == 0:
+            free.append(k)
+            continue
+        for i in range(k + 1, n):
+            factor = m[i][k] / pivot
+            if factor:
+                m[i][k:] = [x - factor * y for x, y in zip(m[i][k:], m[k][k:])]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * n
+        vec[f] = Fraction(1)
+        for k in reversed(range(f)):
+            if m[k][k]:
+                vec[k] = -sum(m[k][j] * vec[j] for j in range(k + 1, n)) / m[k][k]
+        denom = lcm(*(x.denominator for x in vec))
+        ints = [int(x * denom) for x in vec]
+        g = gcd(*ints)
+        basis.append(tuple(x // g for x in ints))
+    return basis
+
+
+def _random_form(rng):
+    """A seeded symmetric form on 1-9 vertices: diagonal 2, 0 or -2 (no, one or two loops),
+    off-diagonal 0, -1 or -2 (no, one or two arrows), sparse enough to be often disconnected."""
+    n, density = rng.randint(1, 9), rng.choice((0.15, 0.3, 0.5))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = rng.choice((2, 2, 2, 2, 2, 2, 0, -2))
+        for j in range(i):
+            if rng.random() < density:
+                m[i][j] = m[j][i] = rng.choice((-1, -1, -1, -2))
+    return m
+
+
+def _catalogue_forms(rng):
+    """The Cartan matrices of the A0-E8 extended and Dynkin quivers, each also with its vertices shuffled."""
+    names = [f"A{r}" for r in range(9)] + [f"D{r}" for r in range(4, 10)] + ["E6", "E7", "E8"]
+    quivers = [qd.extended_dynkin_quiver(name) for name in names]
+    quivers += [qd.dynkin_quiver(name) for name in names if name != "A0"]
+    forms = []
+    for q in quivers:
+        forms.append(q.cartan_matrix())
+        order = rng.sample(range(q.n), q.n)
+        forms.append([[q.cartan_matrix()[i][j] for j in order] for i in order])
+    return forms
+
+
+def _connected(form):
+    """Is the graph of the form's nonzero off-diagonal entries connected?"""
+    vertices = [str(i) for i in range(len(form))]
+    arrows = [[vertices[i], vertices[j]] for i in range(len(form)) for j in range(i) if form[i][j]]
+    return len(connected_components(qd.Quiver(vertices, arrows))) == 1
+
+
+def test_integer_radical_matches_the_rational_elimination():
+    rng = random.Random(20261019)
+    forms = [_random_form(rng) for _ in range(5000)] + _catalogue_forms(rng)
+    outcomes, disconnected = Counter(), 0
+    for form in forms:
+        radical = _radical(form)
+        assert radical == _rational_radical(form), form
+        outcomes["indefinite" if radical is None else min(len(radical), 2)] += 1
+        disconnected += radical is not None and not _connected(form)
+    assert outcomes["indefinite"] >= 3000 and outcomes[0] >= 1000, outcomes
+    assert outcomes[1] >= 350 and outcomes[2] >= 30 and disconnected >= 700, (outcomes, disconnected)
