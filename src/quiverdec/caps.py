@@ -28,7 +28,7 @@ class Caps:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if not isinstance(value, int) or value <= 0:
+            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
                 raise InvalidCaps(f"{field.name} must be a positive integer, got {value!r}")
 
     @classmethod

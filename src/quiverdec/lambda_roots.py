@@ -16,7 +16,8 @@ Sigma. Tables are filled bottom-up.
 
 from __future__ import annotations
 
-from operator import mul
+from math import prod
+from operator import mul, sub
 from typing import Iterable, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
@@ -30,7 +31,7 @@ from .quiver_core import (
     zero_vector,
 )
 from .reflection_walk import PairState, _integer_weight, descend
-from .root_system import _roots_with_p, box_strides, classify_root
+from .root_system import _roots_with_p, classify_root
 
 
 def _below(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -45,10 +46,12 @@ class BoxTable:
     item to its p. Adding an item is one unbounded-knapsack pass, so each
     multiset is counted once. The p = 0 coordinate vectors at ``seeds`` start
     added, with no ``items`` entry: a vector on their support is one multiset.
+    Cells are numbered ascending lex: ``strides`` are the box's mixed-radix place values.
     """
 
     def __init__(self, bound: DimVector, seeds: Iterable[int] = ()):
-        self.bound, self.strides = bound, box_strides(bound)
+        self.bound = bound
+        self.strides = tuple(prod(b + 1 for b in bound[i + 1:]) for i in range(len(bound)))
         size = self.index(bound) + 1
         self.best: list[int | None] = [None] * size
         self.count = [0] * size
@@ -114,7 +117,6 @@ class LambdaContext:
         self.caps = caps
         self._bound: DimVector = zero_vector(quiver)
         self._roots: dict[DimVector, int] = {}  # p of each orthogonal root of the box, by (sum, lex)
-        self._split: dict[DimVector, int | None] = {}  # best proper split of each decided root
         self._tables: dict[str, BoxTable] = {}
 
     def _cover(self, bound: DimVector) -> None:
@@ -178,20 +180,21 @@ class LambdaContext:
 
         Both tables seed the roots of entry sum 1 and p = 0, which come first. The norm
         table leaves out every other real root where the weight is 0, a sum of those (real
-        roots avoid loops), so no best changes. Sigma decides roots by (entry sum, lex): a
-        root's entry is its best proper split, and one that beats it joins Sigma and the table.
+        roots avoid loops), so no best changes. Sigma decides roots by (entry sum, lex): read
+        before the root is added, its cell holds its best proper split, and a root whose p
+        beats that joins Sigma and the table.
         """
         if kind not in self._tables:
             seeds = {b: b.index(1) for b, p in self._roots.items() if sum(b) == 1 and not p}
             table = self._tables[kind] = BoxTable(self._bound, seeds.values())
             for beta, p in self._roots.items():
                 if beta in seeds:  # seeded, with no proper split: never read its cell
-                    table.items[beta], self._split[beta] = p, None
+                    table.items[beta] = p
                     continue
                 if kind == "norm":
                     keep = p or any(map(mul, self._scaled, beta))
                 else:
-                    keep = (split := self._split.setdefault(beta, table[beta])) is None or split < p
+                    keep = (split := table[beta]) is None or split < p
                 if keep:
                     table.add(beta, p)
         return self._tables[kind]
@@ -230,14 +233,17 @@ def norm_lambda(ctx: LambdaContext, a: Sequence[int]) -> int:
 def max_proper_sum_p(ctx: LambdaContext, a: Sequence[int]) -> int | None:
     """Max p-sum over decompositions of ``a`` with at least two parts.
 
-    None when no such decomposition exists, e.g. for coordinate vectors.
+    None when no such decomposition exists, e.g. for coordinate vectors; else the best,
+    over the resolved Sigma table's items b other than ``a``, of p_b plus the table at a - b.
     """
     try:
         ctx, a, _ = ctx.resolve(a)
     except NotInNRLambdaPlus:
         return None
-    # an orthogonal root's one-part decomposition is not proper
-    return ctx._split.get(a, ctx._table("sigma")[a]) if any(a) else None
+    table = ctx._table("sigma")
+    splits = (p + rest for b, p in table.items.items()
+              if b != a and _below(b, a) and (rest := table[tuple(map(sub, a, b))]) is not None)
+    return max(splits, default=None)
 
 
 def in_sigma_lambda(ctx: LambdaContext, a: Sequence[int]) -> bool:

@@ -1,12 +1,12 @@
 """Independent brute-force references and exhaustive lemma checkers.
 
 Everything here recomputes its answers from definitions, sharing only the
-quiver and form primitives with the main algorithms: roots are enumerated
-by closing seed vectors under simple reflections instead of pointwise
-descent, memberships are decided by full multiset enumeration instead of
-the memoized maximum, and refinements are verified by a local partition
-search. Agreement between this module and the main path is the evidence
-the test suite is built on.
+quiver and form primitives with the main algorithms. Roots close seed vectors
+under simple reflections, as the main path does, but find the seeds by a scan
+of the box; the tests check both against ``classify_root``'s pointwise descent.
+Memberships are decided by full multiset enumeration instead of the memoized
+maximum, and refinements by a local partition search. Agreement between this
+module and the main path is the evidence the test suite is built on.
 """
 
 from __future__ import annotations

@@ -165,14 +165,6 @@ def _roots_with_p(q: Quiver, bound: Sequence[int], caps: Caps) -> dict[DimVector
     return roots if len(live) == q.n else {place(a): p for a, p in roots.items()}
 
 
-def box_strides(bound: Sequence[int]) -> tuple[int, ...]:
-    """Mixed-radix place values: ``sum(a_i * stride_i)`` numbers the box ascending lex."""
-    strides = [1] * len(bound)
-    for i in range(len(bound) - 1, 0, -1):
-        strides[i - 1] = strides[i] * (bound[i] + 1)
-    return tuple(strides)
-
-
 # -- shape recognition -------------------------------------------------------
 
 
@@ -304,28 +296,21 @@ def extended_dynkin_quiver(name: str) -> Quiver:
     raise ValueError(f"unknown extended Dynkin type {name!r}")
 
 
-_FAMILY_BY_MAX_DELTA = {1: "A", 2: "D", 3: "E", 4: "E", 6: "E"}
-
-
 def ade_label(q: Quiver, shape: QuiverShape | None = None) -> str:
     """ADE type of an extended Dynkin quiver, e.g. ``A1`` for the double arrow.
 
-    The family is read off the computed delta (max entry 1 -> A, 2 -> D,
-    3/4/6 -> E6/E7/E8) and cross-checked against the catalogue's degree
-    sequence, so a misclassification cannot slip through silently.
+    The first of A, D and E on the quiver's vertex count whose catalogue diagram
+    has the quiver's vertex count, sorted degrees and sorted delta; the families
+    differ in their largest delta entry, so at most one matches.
     """
     shape = shape or classify_shape(q)
     if shape.kind is not ShapeKind.EXTENDED_DYNKIN or shape.delta is None:
         raise ValueError("ADE labels exist only for extended Dynkin quivers")
-    top = max(shape.delta)
-    family = _FAMILY_BY_MAX_DELTA.get(top)
-    if family is None:
-        raise InternalInconsistency(f"delta {shape.delta!r} matches no affine ADE diagram")
-    rank = q.n - 1 if family != "E" else {3: 6, 4: 7, 6: 8}[top]
-    label = f"{family}{rank}"
-    if _signature(q, shape.delta) != _catalogue_signature(label):
-        raise InternalInconsistency(f"shape of {q!r} does not match the {label} diagram")
-    return label
+    rank, signature = q.n - 1, _signature(q, shape.delta)
+    for label in [f"A{rank}"] + [f"D{rank}"] * (rank >= 4) + [f"E{rank}"] * (rank in (6, 7, 8)):
+        if _catalogue_signature(label) == signature:
+            return label
+    raise InternalInconsistency(f"delta {shape.delta!r} of {q!r} matches no affine ADE diagram")
 
 
 def _signature(q: Quiver, delta: DimVector) -> tuple:

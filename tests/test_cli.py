@@ -210,7 +210,7 @@ def test_bad_cap_values_are_usage_errors(capsys, monkeypatch, env, value):
 
 def test_caps_reject_nonpositive_limits(capsys):
     for field in ("max_box_volume", "max_bound_sum", "max_states"):
-        for value in (0, -1):
+        for value in (0, -1, True, False, 2.0):
             with pytest.raises(qd.InvalidCaps, match=field):
                 qd.Caps(**{field: value})
     rc, _, err = run(capsys, "roots", "--quiver", KRONECKER, "--bound", "1,1", "--max-box", "0")
@@ -228,6 +228,19 @@ def test_verify_runs_clean(capsys):
     assert rc == 0
     lines = out.splitlines()
     assert [line.split()[:2] for line in lines] == [["PASS", r["lemma"]] for r in reports]
+
+
+def test_verify_reports_a_counterexample(capsys, monkeypatch):
+    from quiverdec import oracle
+
+    failing = oracle.CheckReport("dynkvec", 1, [{"alpha": [1, 2]}])
+    monkeypatch.setattr(oracle, "check_dynkvec", lambda q, bound: failing)
+    rc, out, _ = run(capsys, "verify")
+    assert rc == 1
+    assert "FAIL  dynkvec        instances=1" in out
+    assert "      counterexample: {'alpha': [1, 2]}" in out.splitlines()
+    rc, out, _ = run(capsys, "verify", "--json")
+    assert rc == 1 and [r["passed"] for r in json.loads(out)].count(False) == 5
 
 
 def test_decompose_nonisotropic_block(capsys, tmp_path):

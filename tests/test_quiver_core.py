@@ -59,6 +59,8 @@ def test_support_and_restrict():
     empty = qd.restrict(EX4, ())
     assert empty.n == 0 and empty.arrows == ()
     assert restrict_vector(EX4, (0, 3, 2, 1), ("2", "3", "4")) == (3, 2, 1)
+    with pytest.raises(ValueError, match="unknown vertices"):
+        qd.restrict(EX4, ("2", "z"))
 
 
 def test_vector_validation():
@@ -89,6 +91,8 @@ def test_quiver_validation():
         qd.Quiver(["a"], [["a", "b"]])
     with pytest.raises(ValueError):
         qd.Quiver([], [["a", "b"]])
+    with pytest.raises(ValueError, match="strings"):
+        qd.Quiver(["a", 1], [])
 
 
 def test_multi_arrows_counted_with_multiplicity():
@@ -169,6 +173,10 @@ def test_quiver_json_errors():
         quiver_from_json_dict({"vertices": ["1"], "arrows": [["1", "2"]]})
     with pytest.raises(ValueError, match="line"):
         qd.parse_quiver_json("{not json")
+    with pytest.raises(ValueError, match="must be an object"):
+        quiver_from_json_dict(["1"])
+    with pytest.raises(ValueError, match="'arrows' must be a list"):
+        quiver_from_json_dict({"vertices": ["1"], "arrows": "1,1"})
 
 
 def test_weight_serialization():
@@ -182,3 +190,6 @@ def test_weight_serialization():
         parse_rational("x")
     with pytest.raises(ValueError):
         parse_rational("1/0")
+    for token in (True, False, 0.5, 2.0, None):
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_rational(token)

@@ -104,6 +104,9 @@ def test_dynkin_shapes_positive_definite():
         shape = qd.classify_shape(qd.dynkin_quiver(name))
         assert shape.kind is ShapeKind.DYNKIN, name
         assert shape.delta is None
+    for name in ("A0", "D3", "E5", "E9", "F4"):
+        with pytest.raises(ValueError, match="unknown Dynkin type"):
+            qd.dynkin_quiver(name)
 
 
 def test_extended_shapes_and_deltas():
@@ -116,6 +119,9 @@ def test_extended_shapes_and_deltas():
         assert all(qd.bilinear_form(q, shape.delta, qd.coordinate_vector(q, v)) == 0 for v in q.vertices)
         assert shape.extending == tuple(v for v, d in zip(q.vertices, shape.delta) if d == 1)
         assert qd.ade_label(q, shape) == name
+    for name in ("D3", "E5", "E9", "G2"):
+        with pytest.raises(ValueError, match="unknown extended Dynkin type"):
+            qd.extended_dynkin_quiver(name)
 
 
 def test_shape_examples():
@@ -274,3 +280,51 @@ def test_radical_rejects_indefinite_and_reads_semidefinite_forms():
     assert _radical(A2.cartan_matrix()) == []
     assert _radical(KRONECKER.cartan_matrix()) == [(1, 1)]
     assert _radical(qd.Quiver(["a", "b"], [["a", "a"], ["b", "b"]]).cartan_matrix()) == [(1, 0), (0, 1)]
+
+
+# -- ADE labels against the family-table rule they replaced ----------------------
+
+_FAMILY_BY_MAX_DELTA = {1: "A", 2: "D", 3: "E", 4: "E", 6: "E"}
+
+
+def _label_by_family_table(q, delta):
+    """The family read off the largest delta entry; E's rank from it, the others' from n."""
+    top = max(delta)
+    family = _FAMILY_BY_MAX_DELTA[top]
+    return f"{family}{q.n - 1 if family != 'E' else {3: 6, 4: 7, 6: 8}[top]}"
+
+
+def _relabelled(q, rng):
+    """``q`` with renamed and reordered vertices, shuffled arrows and about half of them reversed."""
+    names = dict(zip(q.vertices, rng.sample([f"v{i}" for i in range(100)], q.n)))
+    vertices = rng.sample([names[v] for v in q.vertices], q.n)
+    arrows = [[names[h], names[t]] if rng.random() < 0.5 else [names[t], names[h]] for t, h in q.arrows]
+    return qd.Quiver(vertices, rng.sample(arrows, len(arrows)))
+
+
+def test_ade_label_matches_the_family_table_on_the_relabelled_catalogue():
+    rng = random.Random(13)
+    names = [f"A{r}" for r in range(14)] + [f"D{r}" for r in range(4, 14)] + ["E6", "E7", "E8"]
+    for name in names:
+        for _ in range(6):
+            q = _relabelled(qd.extended_dynkin_quiver(name), rng)
+            shape = qd.classify_shape(q)
+            assert qd.ade_label(q) == qd.ade_label(q, shape) == _label_by_family_table(q, shape.delta) == name, q
+
+
+def test_ade_label_rejects_a_delta_of_no_catalogue_diagram():
+    wrong = {
+        "A0": (2,),
+        "A1": (1, 2),
+        "D4": (1, 1, 1, 1, 1),  # A4's delta on D4's degrees
+        "E6": (1, 1, 2, 2, 2, 1, 1),  # D6's delta on E6's degrees
+        "E8": (1, 2, 3, 4, 5, 6, 4, 2, 2),
+    }
+    for name, delta in wrong.items():
+        q = qd.extended_dynkin_quiver(name)
+        shape = qd.QuiverShape(ShapeKind.EXTENDED_DYNKIN, delta, tuple(v for v, d in zip(q.vertices, delta) if d == 1))
+        with pytest.raises(qd.InternalInconsistency, match="matches no affine ADE diagram"):
+            qd.ade_label(q, shape)
+    for q in (K3, A2, qd.Quiver(["a", "b"], [])):
+        with pytest.raises(ValueError, match="extended Dynkin"):
+            qd.ade_label(q)
