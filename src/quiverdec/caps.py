@@ -53,7 +53,7 @@ class Caps:
         total = sum(bound)
         if total > self.max_bound_sum:
             raise ResourceLimit(
-                f"bound sum {total} exceeds cap {self.max_bound_sum} (max_bound_sum, {ENV_MAX_SUM})"
+                f"bound sum {total} exceeds cap {self.max_bound_sum} (max_bound_sum, {ENV_MAX_SUM}, --max-sum)"
             )
         volume = 1
         for b in bound:

@@ -11,7 +11,6 @@ search carries a state budget and records whether it refused a state.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -104,13 +103,14 @@ class _IntegerPairs:
         self.start = make_pair(q, pair.weight, pair.dim)
         self.scale, weight = _integer_weight(self.start.weight)
         self.root = (weight, self.start.dim)
-        self.moves = [(i, v, q.cartan_matrix()[i]) for i, v in enumerate(q.vertices) if q.is_loopfree(v)]
+        self.vertices = q.vertices
+        self.moves = [(i, q.cartan_matrix()[i]) for i, v in enumerate(q.vertices) if q.is_loopfree(v)]
 
-    def steps(self, weight: tuple[int, ...], dim: DimVector) -> Iterator[tuple[str, tuple]]:
-        for i, vertex, row in self.moves:
-            if w := weight[i]:
+    def steps(self, weight: tuple[int, ...], dim: DimVector, skip: int = -1) -> Iterator[tuple[int, tuple]]:
+        for i, row in self.moves:
+            if i != skip and (w := weight[i]):
                 reflected = dim[:i] + (dim[i] - sum(map(mul, row, dim)),) + dim[i + 1:]
-                yield vertex, (tuple([x - r * w for x, r in zip(weight, row)]), reflected)
+                yield i, (tuple([x - r * w for x, r in zip(weight, row)]), reflected)
 
     def pair(self, state: tuple) -> PairState:
         return PairState(tuple(Fraction(x, self.scale) for x in state[0]), state[1])
@@ -120,32 +120,42 @@ class _OrbitSearch(_IntegerPairs):
     """Breadth-first search of the admissible class of a pair.
 
     Admits at most ``budget`` states, the start included, with exact-state
-    deduplication, and hands out each admitted (state, sequence) in BFS
-    order, so every sequence is as short as possible. ``truncated`` records
-    whether an admission was refused; after the first refusal the search
-    stops expanding and only hands out the states already queued.
+    deduplication, and hands out their indices into ``states`` in BFS order;
+    :meth:`sequence` rebuilds a shortest sequence from the parent links on
+    demand. ``truncated`` records whether an admission was refused; after the
+    first refusal the search stops expanding and hands out only admitted states.
     """
 
     def __init__(self, q: Quiver, pair: PairState, budget: int):
         super().__init__(q, pair)
         self.budget, self.truncated = budget, budget <= 0
+        self.states = [] if self.truncated else [self.root]
+        self.parent, self.via = [-1], [-1]
 
-    def __iter__(self) -> Iterator[tuple[tuple, tuple[str, ...]]]:
-        seen = {self.root}
-        queue = deque([] if self.truncated else [(self.root, ())])
-        while queue:
-            state, seq = queue.popleft()
-            yield state, seq
+    def __iter__(self) -> Iterator[int]:
+        states, parent, via = self.states, self.parent, self.via
+        seen = set(states)
+        for k, state in enumerate(states):  # grows while it is read: the list is the queue
+            yield k
             if self.truncated:
                 continue
-            for vertex, nxt in self.steps(*state):
+            for i, nxt in self.steps(*state, via[k]):  # the move back to the parent is never new
                 if nxt in seen:
                     continue
                 if len(seen) >= self.budget:
                     self.truncated = True
                     break
                 seen.add(nxt)
-                queue.append((nxt, seq + (vertex,)))
+                states.append(nxt)
+                parent.append(k)
+                via.append(i)
+
+    def sequence(self, k: int) -> tuple[str, ...]:
+        seq = []
+        while k:
+            seq.append(self.vertices[self.via[k]])
+            k = self.parent[k]
+        return tuple(reversed(seq))
 
 
 def normalize_pair(q: Quiver, pair: PairState, budget: int = 100_000) -> NormalizedPair:
@@ -166,8 +176,8 @@ def normalize_pair(q: Quiver, pair: PairState, budget: int = 100_000) -> Normali
             "budget of 0 states cannot explore anything",
             NormalizedPair(search.start, (), False),
         )
-    state, seq = min(search, key=lambda found: (sum(found[0][1]), found[0][1]))
-    return NormalizedPair(search.pair(state), seq, not search.truncated)
+    best = min(search, key=lambda k: (sum(search.states[k][1]), search.states[k][1]))
+    return NormalizedPair(search.pair(search.states[best]), search.sequence(best), not search.truncated)
 
 
 def fundamental_representative(
@@ -180,9 +190,9 @@ def fundamental_representative(
     the fundamental region: none is reachable, or the budget ran out first.
     """
     search = _OrbitSearch(q, pair, budget)
-    for state, seq in search:
-        if all(e >= 0 for e in state[1]) and in_fundamental_region(q, state[1]):
-            return search.pair(state), seq
+    for k in search:
+        if in_fundamental_region(q, search.states[k][1]):
+            return search.pair(search.states[k]), search.sequence(k)
     return None
 
 
@@ -194,10 +204,10 @@ def descend(q: Quiver, pair: PairState) -> tuple[PairState, tuple[str, ...]]:
     pairs = _IntegerPairs(q, pair)
     state, seq = pairs.root, []
     while min(state[1], default=0) >= 0:
-        down = next(((v, nxt) for v, nxt in pairs.steps(*state) if sum(nxt[1]) < sum(state[1])), None)
+        down = next(((i, nxt) for i, nxt in pairs.steps(*state) if sum(nxt[1]) < sum(state[1])), None)
         if down is None:
             break
-        seq.append(down[0])
+        seq.append(pairs.vertices[down[0]])
         state = down[1]
     return (pairs.pair(state) if seq else pairs.start), tuple(seq)
 

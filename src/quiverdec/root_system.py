@@ -57,13 +57,11 @@ def simple_reflection(q: Quiver, vertex: str, a: Sequence[int]) -> DimVector:
 
 
 def in_fundamental_region(q: Quiver, a: Sequence[int]) -> bool:
-    """Nonzero, nonnegative, connected support, (a, e_i) <= 0 everywhere."""
+    """Nonzero, nonnegative, (a, e_i) <= 0 everywhere, connected support: the cheap tests first."""
     a = dim_vector(q, a)
-    if any(e < 0 for e in a) or all(e == 0 for e in a):
+    if min(a, default=0) < 0 or not any(a):
         return False
-    if not has_connected_support(q, a):
-        return False
-    return all(pairing_with_simple(q, a, v) <= 0 for v in q.vertices)
+    return all(sum(map(mul, row, a)) <= 0 for row in q.cartan_matrix()) and has_connected_support(q, a)
 
 
 def classify_root(q: Quiver, a: Sequence[int]) -> RootClass:

@@ -138,7 +138,7 @@ def test_negative_vector_values(capsys, argv):
 
 def test_resource_limits_name_the_setting(capsys):
     rc, _, err = run(capsys, "roots", "--quiver", KRONECKER, "--bound", "30,30")
-    assert rc == 3 and "(max_bound_sum, QUIVERDEC_MAX_SUM)" in err
+    assert rc == 3 and "(max_bound_sum, QUIVERDEC_MAX_SUM, --max-sum)" in err
     rc, _, err = run(capsys, "roots", "--quiver", KRONECKER, "--bound", "3,3", "--max-box", "4")
     assert rc == 3 and "(max_box_volume, QUIVERDEC_MAX_BOX, --max-box)" in err
 
@@ -175,7 +175,7 @@ def test_over_cap_decompose_answers_after_descent(capsys):
     rc, out, err = run(capsys, "decompose", "--quiver", EX4, "--lambda", "0,1,-2,1", "--alpha", "0,30,0,0")
     assert rc == 1 and out == "" and "(0, -30, 0, 0)" in err
     rc, out, err = run(capsys, "decompose", "--quiver", EX4, "--lambda", "0,0,0,0", "--alpha", "4,12,8,4")
-    assert rc == 3 and out == "" and "(max_bound_sum, QUIVERDEC_MAX_SUM)" in err
+    assert rc == 3 and out == "" and "(max_bound_sum, QUIVERDEC_MAX_SUM, --max-sum)" in err
 
 
 def test_json_determinism(capsys):
@@ -193,10 +193,25 @@ def test_caps_flag(capsys):
 
 
 def test_sum_cap_from_environment(capsys, monkeypatch):
+    argv = ("decompose", "--quiver", JORDAN, "--lambda", "0", "--alpha", "1200")
     monkeypatch.setenv("QUIVERDEC_MAX_SUM", "1200")
-    rc, out, _ = run(capsys, "decompose", "--quiver", JORDAN, "--lambda", "0", "--alpha", "1200")
+    rc, out, _ = from_env = run(capsys, *argv)
     assert rc == 0
     assert out.splitlines()[-1] == "formula: S^1200 N((0),(1))"
+    # --max-sum gives the same answer, and overrides the environment as --max-box does
+    monkeypatch.delenv("QUIVERDEC_MAX_SUM")
+    assert run(capsys, *argv)[0] == 3
+    assert run(capsys, *argv, "--max-sum", "1200") == from_env
+    monkeypatch.setenv("QUIVERDEC_MAX_SUM", "24")
+    assert run(capsys, *argv, "--max-sum", "1200") == from_env
+
+
+@pytest.mark.parametrize("flag, field", [("--max-box", "max_box_volume"), ("--max-sum", "max_bound_sum"),
+                                         ("--max-states", "max_states")])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_nonpositive_cap_flags_are_usage_errors(capsys, flag, field, value):
+    rc, out, err = run(capsys, "decompose", "--quiver", JORDAN, "--lambda", "0", "--alpha", "1", f"{flag}={value}")
+    assert (rc, out) == (2, "") and f"{field} must be a positive integer" in err
 
 
 @pytest.mark.parametrize("env", ["QUIVERDEC_MAX_BOX", "QUIVERDEC_MAX_SUM", "QUIVERDEC_MAX_STATES"])

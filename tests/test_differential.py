@@ -439,6 +439,41 @@ def test_descent_labels_match_the_orbit_search():
     assert len(cases) >= 16 and reflected == 6
 
 
+# -- the fundamental region against its definition -------------------------------
+
+TWO_LOOPS = qd.Quiver(["0", "1"], [["0", "0"], ["1", "1"]])
+
+
+def _definitional_fundamental(q, a):
+    """Nonnegative and nonzero, connected support, then (a, e_i) <= 0 at each vertex."""
+    if any(e < 0 for e in a) or not any(a):
+        return False
+    if len(connected_components(q, qd.support(q, a))) != 1:
+        return False
+    return all(pairing_with_simple(q, a, v) <= 0 for v in q.vertices)
+
+
+def test_fundamental_region_matches_its_definition():
+    # two Jordan loops at (1,1): every pairing is 0, but the support is disconnected
+    cases = [(TWO_LOOPS, (1, 1)), (TWO_LOOPS, (0, 2)), (TWO_LOOPS, (0, 0)), (TWO_LOOPS, (1, -1))]
+    for name, m in AFFINE_DELTA_BOXES:
+        q, bound = _affine_box(name, m)
+        cases += [(q, bound), (q, tuple(x + (i == 0) for i, x in enumerate(bound)))]
+    rng = random.Random(606)
+    for _ in range(3000):
+        q = _random_quiver(rng, rng.randint(1, 5))
+        cases.append((q, tuple(rng.choice((-1, 0, 0, 1, 1, 2, 3)) for _ in range(q.n))))
+    inside = split = zero_loop = 0
+    for q, a in cases:
+        want = _definitional_fundamental(q, a)
+        assert qd.in_fundamental_region(q, a) is want, (q.arrows, a)
+        pairings_pass = min(a) >= 0 and all(pairing_with_simple(q, a, v) <= 0 for v in q.vertices)
+        inside += want
+        split += any(a) and pairings_pass and not want
+        zero_loop += want and any(not q.is_loopfree(v) and pairing_with_simple(q, a, v) == 0 for v in qd.support(q, a))
+    assert inside >= 400 and split >= 30 and zero_loop >= 100, (inside, split, zero_loop)
+
+
 def _outcome(f, *args):
     try:
         return f(*args)
@@ -529,9 +564,9 @@ def test_sigma_queries_on_an_over_cap_weighted_pair(capsys):
     # a vector that is not a root is still answered without a box
     kronecker = qd.fixture_path("kronecker.json")
     assert cli.main(["sigma", "--quiver", kronecker, "--lambda", "0,0", "--alpha", "13,14"]) == 3
-    assert "(max_bound_sum, QUIVERDEC_MAX_SUM)" in capsys.readouterr().err
+    assert "(max_bound_sum, QUIVERDEC_MAX_SUM, --max-sum)" in capsys.readouterr().err
     assert cli.main(["decompose", "--quiver", ex4, "--lambda", "0,0,0,0", "--alpha", "4,12,8,4"]) == 3
-    assert "(max_bound_sum, QUIVERDEC_MAX_SUM)" in capsys.readouterr().err
+    assert "(max_bound_sum, QUIVERDEC_MAX_SUM, --max-sum)" in capsys.readouterr().err
     assert cli.main(["sigma", "--quiver", ex4, "--lambda", "0,0,0,0", "--alpha", "4,12,8,4"]) == 0
     assert capsys.readouterr().out == "false\n"
 

@@ -6,7 +6,7 @@ import pytest
 
 import quiverdec as qd
 from quiverdec.errors import BudgetExhausted, InadmissibleStep
-from quiverdec.reflection_walk import trace_to_json
+from quiverdec.reflection_walk import _OrbitSearch, trace_to_json
 
 EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
 EX4_WEIGHT = (0, 1, -2, 1)
@@ -280,6 +280,8 @@ def test_normalize_pair_matches_reference_at_every_small_budget():
 # -- the integer search and descent against the Fraction path ------------------
 
 D4 = qd.extended_dynkin_quiver("D4")
+# a Kronecker pair and a loop vertex "c": never a move, but its row counts in the fundamental test
+LOOPED = qd.Quiver(["a", "b", "c"], [["a", "b"], ["a", "b"], ["b", "c"], ["c", "c"]])
 # primes above 1000: two nonzero entries already put the weight's lcm above 10**6
 LARGE_PRIMES = (1009, 1013, 1019, 1021, 1031, 1033, 1039, 1049, 1051, 1061)
 ORBIT_BUDGET = 300
@@ -329,7 +331,7 @@ def _reference_descend(q, pair):
 def _large_denominator_pairs(seed, count=4):
     rng = random.Random(seed)
     pairs = []
-    for q in (EX4, D4, KRONECKER):
+    for q in (EX4, D4, KRONECKER, LOOPED):
         for _ in range(count):
             dens = rng.sample(LARGE_PRIMES, q.n)
             weight = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 999), d) for d in dens]
@@ -362,6 +364,7 @@ def test_integer_search_and_descent_match_the_fraction_path(seed):
     cases = _large_denominator_pairs(seed)
     assert any(lcm(*(x.denominator for x in pair.weight)) > 10**6 for _, pair in cases)
     assert any(0 in pair.weight for _, pair in cases)
+    assert any(q is LOOPED and 0 in pair.weight for q, pair in cases)
     assert any(min(pair.dim) < 0 for _, pair in cases)
     rng = random.Random(1000 + seed)
     for q, pair in cases:
@@ -380,3 +383,31 @@ def test_long_descent_takes_one_step_per_reflection():
     state, seq = qd.descend(KRONECKER, pair)
     assert isinstance(seq, tuple) and len(seq) == n
     assert (state, seq) == _reference_descend(KRONECKER, pair)
+
+
+# the triangle's delta reflected up thirteen times: its fundamental
+# representative is admitted deep in the search
+DEEP = qd.apply_sequence(
+    EX4, qd.make_pair(EX4, (Fraction(1, 3), Fraction(2, 5), Fraction(-7, 11), Fraction(13, 55)), (0, 1, 1, 1)),
+    "1234234213243",
+)[0]
+DEEP_BUDGET = 5_000
+
+
+@pytest.mark.parametrize("pair", [qd.make_pair(EX4, EX4_WEIGHT, (k, 3 * k, 2 * k, k)) for k in (1, 2, 3)] + [DEEP],
+                         ids=["1x", "2x", "3x", "deep"])
+def test_sequences_rebuilt_from_parent_links_replay_at_depth(pair):
+    admitted, exhaustive = _reference_orbit(EX4, pair, DEEP_BUDGET)
+    assert len(admitted) == DEEP_BUDGET and max(len(seq) for _, seq in admitted) >= 14
+    search = _OrbitSearch(EX4, pair, DEEP_BUDGET)
+    assert [(search.pair(search.states[k]), search.sequence(k)) for k in search] == admitted
+    assert search.truncated is not exhaustive
+    res = qd.normalize_pair(EX4, pair, budget=DEEP_BUDGET)
+    assert res == qd.NormalizedPair(*min(admitted, key=lambda found: (sum(found[0].dim), found[0].dim)), exhaustive)
+    found = qd.fundamental_representative(EX4, pair, budget=DEEP_BUDGET)
+    assert found == next((f for f in admitted if qd.in_fundamental_region(EX4, f[0].dim)), None)
+    assert (found is not None) == (pair is DEEP)
+    for end, seq in [(res.state, res.sequence)] + ([found] if found else []):
+        assert qd.apply_sequence(EX4, pair, seq)[0] == end
+    if found:
+        assert found[0].dim == (0, 1, 1, 1) and len(found[1]) == 13
