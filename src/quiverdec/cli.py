@@ -13,9 +13,7 @@ import argparse
 import json
 import sys
 from dataclasses import replace
-from pathlib import Path
 
-from . import oracle
 from .caps import Caps
 from .decomposer import product_structure_report
 from .errors import InvalidCaps, QuiverdecError, ResourceLimit
@@ -42,7 +40,8 @@ from .root_system import (
 def parse_quiver_file(path: str) -> Quiver:
     """Load and validate a quiver JSON file, reporting file context on errors."""
     try:
-        text = Path(path).read_text()
+        with open(path) as f:
+            text = f.read()
     except OSError as exc:
         raise ValueError(f"cannot read quiver file {path!r}: {exc}") from None
     try:
@@ -163,6 +162,9 @@ def _cmd_reflect(args) -> int:
 def _verify_suite(caps: Caps):
     """The default lemma-check suite at desk-scale bounds."""
     from fractions import Fraction
+
+    # imported here, so the commands other than verify never load the oracle
+    from . import oracle
 
     kronecker = extended_dynkin_quiver("A1")
     triangle = extended_dynkin_quiver("A2")

@@ -15,6 +15,7 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from functools import cache
+from operator import mul
 from typing import Iterable, Sequence
 
 from .caps import Caps
@@ -89,7 +90,7 @@ def positive_roots_in_box(q: Quiver, bound: Sequence[int], caps: Caps | None = N
     simples = {coordinate_vector(q, v) for v in q.vertices if q.is_loopfree(v) and bound[q.index(v)] >= 1}
     fundamental = {
         vec for vec in iter_box(bound)
-        if has_connected_support(q, vec) and all(pairing_with_simple(q, vec, v) <= 0 for v in q.vertices)
+        if all(pairing_with_simple(q, vec, v) <= 0 for v in q.vertices) and has_connected_support(q, vec)
     }
     result = frozenset(_closure(q, simples | fundamental, bound))
     if len(_ROOT_BOX_CACHE) < 4096:
@@ -200,13 +201,18 @@ def nr_member(ctx: LambdaContext, a: Sequence[int]) -> bool:
 
 
 def sigma_member(ctx: LambdaContext, a: Sequence[int]) -> bool:
-    """Sigma membership straight from the definition, by full enumeration."""
+    """Sigma membership straight from the definition, by full enumeration.
+
+    Orthogonality to the weight is tested before the box scan for roots, so
+    a vector the weight does not annihilate answers False even when its box
+    is over the caps.
+    """
     a = dim_vector(ctx.quiver, a)
     if any(e < 0 for e in a) or not any(a):
         return False
-    if a not in positive_roots_in_box(ctx.quiver, a, ctx.caps):
-        return False
     if lambda_dot(ctx.weight, a) != 0:
+        return False
+    if a not in positive_roots_in_box(ctx.quiver, a, ctx.caps):
         return False
     p = p_form(ctx.quiver, a)
     return all(
@@ -322,19 +328,21 @@ def _dynkin_positive_roots(q: Quiver) -> list[DimVector]:
 def check_dynkvec(q: Quiver, box_bound: int) -> CheckReport:
     """No nonzero integer vector pairs within [-1, 0] against every positive root.
 
-    Exhausts the cube [-b, b]^n for a Dynkin quiver.
+    Exhausts the cube [-b, b]^n for a Dynkin quiver. Each root eta enters
+    through its Cartan image C*eta, computed once: (v, eta) = v . (C*eta).
     """
     started = time.perf_counter()
     if classify_shape(q).kind is not ShapeKind.DYNKIN:
         raise ValueError("the vector check is a statement about Dynkin quivers")
     roots = _dynkin_positive_roots(q)
+    images = [tuple(sum(map(mul, row, eta)) for row in q.cartan_matrix()) for eta in roots]
     counterexamples = []
     instances = 0
     for vec in itertools.product(range(-box_bound, box_bound + 1), repeat=q.n):
         if not any(vec):
             continue
         instances += 1
-        if all(-1 <= bilinear_form(q, vec, eta) <= 0 for eta in roots):
+        if all(-1 <= sum(map(mul, vec, image)) <= 0 for image in images):
             counterexamples.append({"vector": list(vec)})
     return _report("dynkvec", started, instances, counterexamples, {"roots": len(roots)})
 

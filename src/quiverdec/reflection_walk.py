@@ -27,7 +27,7 @@ from .quiver_core import (
     weight_to_json_list,
     weight_vector,
 )
-from .root_system import in_fundamental_region, simple_reflection
+from .root_system import _in_fundamental, simple_reflection
 
 
 class PairState(NamedTuple):
@@ -191,7 +191,7 @@ def fundamental_representative(
     """
     search = _OrbitSearch(q, pair, budget)
     for k in search:
-        if in_fundamental_region(q, search.states[k][1]):
+        if _in_fundamental(q, search.states[k][1]):
             return search.pair(search.states[k]), search.sequence(k)
     return None
 

@@ -58,7 +58,11 @@ def simple_reflection(q: Quiver, vertex: str, a: Sequence[int]) -> DimVector:
 
 def in_fundamental_region(q: Quiver, a: Sequence[int]) -> bool:
     """Nonzero, nonnegative, (a, e_i) <= 0 everywhere, connected support: the cheap tests first."""
-    a = dim_vector(q, a)
+    return _in_fundamental(q, dim_vector(q, a))
+
+
+def _in_fundamental(q: Quiver, a: DimVector) -> bool:
+    """``in_fundamental_region`` for a tuple of ints of length ``q.n``, unchecked."""
     if min(a, default=0) < 0 or not any(a):
         return False
     return all(sum(map(mul, row, a)) <= 0 for row in q.cartan_matrix()) and has_connected_support(q, a)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -232,17 +236,57 @@ def test_caps_reject_nonpositive_limits(capsys):
     assert rc == 2 and "max_box_volume" in err
 
 
+# (lemma, instances_checked, info) of each report of the default verify suite
+VERIFY_SUITE = [
+    ("deltasum", 3, {"m": 2, "delta": [1, 1]}),
+    ("deltasum", 3, {"m": 2, "delta": [1, 1, 1]}),
+    ("dynkvec", 6, {"roots": 1}),
+    ("dynkvec", 48, {"roots": 3}),
+    ("dynkvec", 342, {"roots": 6}),
+    ("dynkvec", 2400, {"roots": 10}),
+    ("dynkvec", 2400, {"roots": 12}),
+    ("rootineq", 0, {"alpha": [1, 3, 2, 1], "j": "1", "k": "2"}),
+    ("rootineq", 2, {"alpha": [1, 0, 0, 0], "j": "1", "k": "2"}),
+    ("maincase", 2, {
+        "with_qualifying_m": [{"alpha": [1, 0, 0, 0], "m": 0}], "without_qualifying_m": [[1, 3, 2, 1]],
+        "j": "1", "k": "2", "delta": [0, 1, 1, 1], "m_max": 6,
+    }),
+    ("support_split", 2, {"alpha": [1, 1, 1, 1], "side_j": ["j1", "j2"], "side_k": ["k1", "k2"]}),
+    ("support_split", 2, {"alpha": [1, 2, 2], "side_j": ["j"], "side_k": ["k0", "k1"]}),
+    ("support_split", 2, {"alpha": [1, 1, 2], "side_j": ["a", "b"], "side_k": ["c"]}),
+]
+
+
 def test_verify_runs_clean(capsys):
     rc, out, _ = run(capsys, "verify", "--json")
     assert rc == 0
     reports = json.loads(out)
     assert all(r["passed"] for r in reports)
-    lemmas = {r["lemma"] for r in reports}
-    assert lemmas == {"deltasum", "dynkvec", "rootineq", "maincase", "support_split"}
+    assert [(r["lemma"], r["instances_checked"], r["info"]) for r in reports] == VERIFY_SUITE
     rc, out, _ = run(capsys, "verify")
     assert rc == 0
     lines = out.splitlines()
     assert [line.split()[:2] for line in lines] == [["PASS", r["lemma"]] for r in reports]
+
+
+def test_commands_other_than_verify_do_not_load_the_oracle():
+    source = str(Path(qd.__file__).resolve().parents[1])
+    script = (
+        "import sys\n"
+        "from quiverdec import cli\n"
+        "assert 'quiverdec.oracle' not in sys.modules\n"
+        f"assert cli.main(['decompose', '--quiver', {EX4!r}, '--lambda', '0,1,-2,1', '--alpha', '1,3,2,1']) == 0\n"
+        f"assert cli.main(['sigma', '--quiver', {KRONECKER!r}, '--lambda', '0,0', '--bound', '2,2']) == 0\n"
+        "assert 'quiverdec.oracle' not in sys.modules\n"
+        "assert cli.main(['verify']) == 0\n"
+        "assert 'quiverdec.oracle' in sys.modules\n"
+    )
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_reports_a_counterexample(capsys, monkeypatch):

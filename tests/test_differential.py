@@ -23,7 +23,7 @@ from quiverdec import cli, oracle
 from quiverdec.errors import InadmissibleStep
 from quiverdec.lambda_roots import BoxTable
 from quiverdec.quiver_core import connected_components, pairing_with_simple, restrict_vector
-from quiverdec.root_system import _radical, _roots_with_p, iter_box
+from quiverdec.root_system import _in_fundamental, _radical, _roots_with_p, iter_box
 
 EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
 EX4_WEIGHT = (0, 1, -2, 1)
@@ -467,6 +467,7 @@ def test_fundamental_region_matches_its_definition():
     for q, a in cases:
         want = _definitional_fundamental(q, a)
         assert qd.in_fundamental_region(q, a) is want, (q.arrows, a)
+        assert _in_fundamental(q, a) is want, (q.arrows, a)
         pairings_pass = min(a) >= 0 and all(pairing_with_simple(q, a, v) <= 0 for v in q.vertices)
         inside += want
         split += any(a) and pairings_pass and not want

@@ -6,7 +6,7 @@ import pytest
 import quiverdec as qd
 from corpus import build_corpus
 from quiverdec import oracle
-from quiverdec.errors import NotInNRLambdaPlus
+from quiverdec.errors import NotInNRLambdaPlus, ResourceLimit
 
 EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
 EX4_WEIGHT = (0, 1, -2, 1)
@@ -70,10 +70,26 @@ def test_oracle_canonical_examples():
 
 
 def test_sigma_member_matches_main():
-    ctx4 = qd.LambdaContext(EX4, EX4_WEIGHT)
-    for vec in itertools.product(range(2), range(3), range(3), range(2)):
-        if any(vec):
-            assert oracle.sigma_member(ctx4, vec) == qd.in_sigma_lambda(ctx4, vec)
+    # the whole box of the maincase check, non-orthogonal vectors and zero included
+    for lam, orthogonal, members in ((EX4_WEIGHT, 26, 3), ((0, 1, -1, 0), 50, 4)):
+        ctx4 = qd.LambdaContext(EX4, lam)
+        seen = found = 0
+        for vec in itertools.product(range(2), range(5), range(5), range(5)):
+            member = oracle.sigma_member(ctx4, vec)
+            assert member == qd.in_sigma_lambda(ctx4, vec), (lam, vec)
+            seen += qd.lambda_dot(ctx4.weight, vec) == 0
+            found += member
+        assert (seen, found) == (orthogonal, members), lam
+
+
+def test_sigma_member_tests_orthogonality_before_the_box_scan():
+    ctx4 = qd.LambdaContext(EX4, EX4_WEIGHT, qd.Caps(max_box_volume=10))
+    # (1,4,4,3) pairs to -1 with the weight; its box of volume 200 is over the cap
+    assert oracle.sigma_member(ctx4, (1, 4, 4, 3)) is False
+    assert qd.in_sigma_lambda(ctx4, (1, 4, 4, 3)) is False
+    # (1,4,4,4) is orthogonal, so its box is scanned and the cap still holds
+    with pytest.raises(ResourceLimit, match="max_box_volume"):
+        oracle.sigma_member(ctx4, (1, 4, 4, 4))
 
 
 def test_nr_member_matches_main():
@@ -114,6 +130,23 @@ def test_check_dynkvec():
         assert report.instances_checked == (2 * bound + 1) ** n - 1
     with pytest.raises(ValueError):
         oracle.check_dynkvec(KRONECKER, 2)
+
+
+def _dynkvec_by_bilinear_form(q, bound):
+    """Counterexamples and instance count of the vector check, one form call per pairing."""
+    roots = oracle._dynkin_positive_roots(q)
+    vectors = [v for v in itertools.product(range(-bound, bound + 1), repeat=q.n) if any(v)]
+    bad = [list(v) for v in vectors if all(-1 <= qd.bilinear_form(q, v, eta) <= 0 for eta in roots)]
+    return bad, len(vectors)
+
+
+def test_check_dynkvec_matches_the_bilinear_form():
+    for name in ("A1", "A2", "A3", "A4", "D4", "E6"):
+        q = qd.dynkin_quiver(name)
+        report = oracle.check_dynkvec(q, 2)
+        bad, instances = _dynkvec_by_bilinear_form(q, 2)
+        assert [ce["vector"] for ce in report.counterexamples] == bad, name
+        assert report.instances_checked == instances == 5 ** q.n - 1, name
 
 
 def test_dynkin_closure_root_counts():
