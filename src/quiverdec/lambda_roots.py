@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import prod
 from operator import mul, sub
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
 from .errors import InternalInconsistency, NotInNRLambdaPlus, ResourceLimit
@@ -47,23 +47,24 @@ class BoxTable:
     multiset is counted once. The p = 0 coordinate vectors at ``seeds`` start
     added, with no ``items`` entry: a vector on their support is one multiset.
     Cells are numbered ascending lex: ``strides`` are the box's mixed-radix place values.
+    Seeds go down in blocks, last coordinate first: a seeded one repeats the block after it.
     """
 
-    def __init__(self, bound: DimVector, seeds: Iterable[int] = ()):
+    def __init__(self, bound: DimVector, seeds: Collection[int] = ()):
         self.bound = bound
         self.strides = tuple(prod(b + 1 for b in bound[i + 1:]) for i in range(len(bound)))
-        size = self.index(bound) + 1
-        self.best: list[int | None] = [None] * size
-        self.count = [0] * size
-        cells = [0]
-        for i in seeds:
-            cells = [c + k * self.strides[i] for k in range(bound[i] + 1) for c in cells]
-        for c in cells:
-            self.best[c], self.count[c] = 0, 1
+        self.best: list[int | None] = [0]
+        self.count = [1]
+        for i in reversed(range(len(bound))):
+            if i in seeds:
+                self.best, self.count = self.best * (bound[i] + 1), self.count * (bound[i] + 1)
+            else:
+                self.best += [None] * (len(self.best) * bound[i])
+                self.count += [0] * (len(self.count) * bound[i])
         self.items: dict[DimVector, int] = {}
 
     def index(self, a: Sequence[int]) -> int:
-        return sum(x * s for x, s in zip(a, self.strides))
+        return sum(map(mul, a, self.strides))
 
     def __getitem__(self, a: Sequence[int]) -> int | None:
         return self.best[self.index(a)]
@@ -118,6 +119,7 @@ class LambdaContext:
         self._bound: DimVector = zero_vector(quiver)
         self._roots: dict[DimVector, int] = {}  # p of each orthogonal root of the box, by (sum, lex)
         self._tables: dict[str, BoxTable] = {}
+        self._reduced: dict[WeightVector, LambdaContext] = {}  # where over-cap vectors descend, by weight
 
     def _cover(self, bound: DimVector) -> None:
         """Classify a box containing ``bound``: the join with the old box, if it fits the caps."""
@@ -146,8 +148,9 @@ class LambdaContext:
         """(context, vector, reflections) that a vector query on ``a`` runs on, the box covering it.
 
         Itself, ``a`` and () when the caps admit a box containing ``a``; else the pair's admissible
-        descent, which keeps orthogonal roots and p. A negative entry, given or reached, raises
-        NotInNRLambdaPlus; a descent with no step, as at weight 0, re-raises the caps' refusal.
+        descent, which keeps orthogonal roots and p, on the context kept for its reduced weight. A
+        negative entry, given or reached, raises NotInNRLambdaPlus; a descent with no step, as at
+        weight 0, re-raises the caps' refusal.
         """
         a = dim_vector(self.quiver, a)
         if any(e < 0 for e in a):
@@ -161,7 +164,8 @@ class LambdaContext:
                 raise
         if min(state.dim) < 0:
             raise NotInNRLambdaPlus(f"{a!r} reflects along {','.join(seq)} to {state.dim!r}")
-        low = LambdaContext(self.quiver, state.weight, self.caps)
+        low = self._reduced.get(state.weight) or LambdaContext(self.quiver, state.weight, self.caps)
+        self._reduced[state.weight] = low
         low._cover(state.dim)
         return low, state.dim, seq
 

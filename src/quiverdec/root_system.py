@@ -4,8 +4,9 @@ Roots are classified by iterative reflection descent: repeatedly reflect a
 positive vector down at a loopfree vertex pairing positively with it. The
 descent ends at a coordinate vector (real root), inside the fundamental
 region (imaginary root), or leaves the positive orthant (not a root). A
-box's roots run it upwards from the simple roots and a pruned search of the
-fundamental region. Everything is exact integer arithmetic, bounded by Caps.
+box's roots run it upwards from the simple roots and the fundamental region,
+searched one coordinate interval at a time, carrying their pairings.
+Everything is exact integer arithmetic, bounded by Caps.
 """
 
 from __future__ import annotations
@@ -125,9 +126,12 @@ def _roots_with_p(q: Quiver, bound: Sequence[int], caps: Caps) -> dict[DimVector
 
     Kac: a positive root that is no loopfree coordinate vector and lies outside the
     fundamental region F pairs positively with a loopfree e_i, and s_i lowers it to a
-    positive root. So the box's roots close those coordinate vectors and F's vectors with
-    connected support under reflections that stay in the box, and each keeps its seed's p.
-    A vertex of bound 0 pairs <= 0, so a reflection there leaves the box or fixes.
+    positive root. Read upwards, the box's roots are those coordinate vectors and F's
+    vectors with connected support, raised by reflections at loopfree e_k pairing negatively
+    that stay in the box, and each keeps its seed's p. F is searched coordinate by
+    coordinate, each over one interval. Every vector carries its pairings with the e_k,
+    which a reflection at k moves by a multiple of row k of the form. Vertices of bound 0
+    drop out: a raising reflection there leaves the box.
     """
     bound = dim_vector(q, bound)
     if any(b < 0 for b in bound):
@@ -137,33 +141,33 @@ def _roots_with_p(q: Quiver, bound: Sequence[int], caps: Caps) -> dict[DimVector
     top = [bound[i] for i in live]
     form = [[q.cartan_matrix()[i][j] for j in live] for i in live]
     free = [k for k, i in enumerate(live) if q.is_loopfree(q.vertices[i])]
-    # F, coordinate by coordinate: a prefix is cut once some loopfree row stays
-    # positive with every remaining coordinate at its most negative term
-    slack = [[sum(min(0, form[k][j]) * top[j] for j in range(d, len(live))) for k in free]
-             for d in range(len(live) + 1)]
-    cone = [((), [0] * len(free))]
+    # F, coordinate by coordinate: a prefix carries its pairings with the e_k, and ``slack[d]``
+    # holds each row's most negative terms from coordinate d on, so each loopfree row that the
+    # next coordinate x moves bounds x above (w > 0) or below (w < 0); the prefix met the others
+    slack = [[0] * len(live)]
+    for d in reversed(range(len(live))):
+        slack.insert(0, [s + min(0, w) * top[d] for s, w in zip(slack[0], form[d])])
+    cone = [((), [0] * len(live))]
     for d, b in enumerate(top):
-        column = [form[k][d] for k in free]
-        cone = [(a + (x,), row) for a, part in cone for x in range(b + 1)
-                for row in [[s + w * x for s, w in zip(part, column)]]
-                if all(s + r <= 0 for s, r in zip(row, slack[d + 1]))]
+        terms = [(k, w, slack[d + 1][k]) for k in free if (w := form[d][k])]  # row[k] + s + w * x <= 0
+        cone = [(a + (x,), [v + w * x for v, w in zip(row, form[d])]) for a, row in cone
+                for x in range(max([0] + [-((row[k] + s) // w) for k, w, s in terms if w < 0]),
+                               min([b] + [-(row[k] + s) // w for k, w, s in terms if w > 0]) + 1)]
 
     def place(a: Sequence[int]) -> DimVector:
         entries = iter(a)
         return tuple(next(entries) if b else 0 for b in bound)
 
     connected = cache(lambda supp: has_connected_support(q, place(supp)))  # many vectors share a support
-    roots = {tuple(int(j == k) for j in range(len(live))): 0 for k in free}
-    roots.update((a, 1 - sum(x * sum(map(mul, row, a)) for x, row in zip(a, form)) // 2)
-                 for a, _ in cone if any(a) and connected(tuple(map(bool, a))))
-    frontier = list(roots)
+    frontier = [(tuple(int(j == k) for j in range(len(live))), form[k]) for k in free]
+    frontier += [(a, row) for a, row in cone if any(a) and connected(tuple(map(bool, a)))]
+    roots = {a: 1 - sum(map(mul, a, row)) // 2 for a, row in frontier}
     while frontier:
-        a = frontier.pop()
+        a, row = frontier.pop()
         for k in free:
-            x = a[k] - sum(map(mul, form[k], a))
-            if 0 <= x <= top[k] and (image := a[:k] + (x,) + a[k + 1:]) not in roots:
+            if (c := row[k]) < 0 and (x := a[k] - c) <= top[k] and (image := a[:k] + (x,) + a[k + 1:]) not in roots:
                 roots[image] = roots[a]
-                frontier.append(image)
+                frontier.append((image, [v - c * w for v, w in zip(row, form[k])]))
     return roots if len(live) == q.n else {place(a): p for a, p in roots.items()}
 
 

@@ -1,11 +1,16 @@
 """The Sigma-first engine against per-vector classification and the oracle.
 
-The root enumeration in ``positive_roots_upto`` is checked against the
-lex pass it replaced, the seeded tables against one knapsack pass per
-item, the integer radical against the rational elimination, and the
-tables behind Sigma, the norm, the best proper split and additive-closure
-membership against the definitional paths, at boxes up to twice delta of
-the extended Dynkin quivers, where the oracle still enumerates quickly.
+The root enumeration in ``positive_roots_upto``, an interval search of the
+fundamental region and raising reflections that carry their pairings, is
+checked against the lex pass it replaced, and below m * delta of every
+extended Dynkin type up to E8 against the closed count of affine roots.
+The block-built table seeds are checked against a per-cell seeding, the
+seeded tables against one knapsack pass per item, the integer radical
+against the rational elimination, over-cap queries on the kept reduced
+contexts against the direct path, and the tables behind Sigma, the norm,
+the best proper split and additive-closure membership against the
+definitional paths, at boxes up to twice delta of the extended Dynkin
+quivers, where the oracle still enumerates quickly.
 """
 
 import itertools
@@ -168,6 +173,25 @@ def test_enumeration_matches_the_lex_pass_on_random_quivers(seed):
         _check_enumeration(q, bound)
 
 
+# the positive roots of the finite type of each extended Dynkin family, by rank
+FINITE_POSITIVE_ROOTS = {"A": lambda r: r * (r + 1) // 2, "D": lambda r: r * (r - 1), "E": {6: 36, 7: 63, 8: 120}.get}
+HUGE = qd.Caps(max_bound_sum=120, max_box_volume=10**15)
+
+
+@pytest.mark.parametrize("name", [f"A{r}" for r in range(12)] + [f"D{r}" for r in range(4, 10)] + ["E6", "E7", "E8"])
+def test_enumeration_matches_the_closed_form_below_multiples_of_delta(name):
+    # the positive roots below m * delta are the multiples k * delta, 1 <= k <= m, with p = 1,
+    # and the real roots beta + k * delta for a finite root beta, with 0 <= k < m where
+    # beta > 0 and 0 < k <= m where beta < 0: 2m of them per positive finite root
+    q = qd.extended_dynkin_quiver(name)
+    delta = qd.classify_shape(q).delta
+    positive = FINITE_POSITIVE_ROOTS[name[0]](int(name[1:]))
+    for m in (1, 2, 3):
+        roots = _roots_with_p(q, _multiple(m, delta), HUGE)
+        assert len(roots) == 2 * m * positive + m, (name, m)
+        assert roots == {b: 0 for b in roots} | {_multiple(k, delta): 1 for k in range(1, m + 1)}, (name, m)
+
+
 def _oracle_answers(ctx, a):
     """(member, norm, best proper split, Sigma) of ``a`` from the oracle's enumerations."""
     decs = oracle.enumerate_decompositions(ctx, a)
@@ -323,6 +347,28 @@ def test_pruned_norm_matches_the_unpruned_knapsack():
 
 
 # -- the seeded tables against one knapsack pass per item -------------------------
+
+
+def _per_cell_seeds(bound, seeds):
+    """A fresh table's (best, count), cell by cell: 0 and 1 where the support lies in ``seeds``, else None and 0."""
+    seeded = [all(i in seeds for i, x in enumerate(a) if x) for a in itertools.product(*(range(b + 1) for b in bound))]
+    return [0 if on else None for on in seeded], [int(on) for on in seeded]
+
+
+def test_block_built_seeds_match_a_per_cell_seeding():
+    rng = random.Random(81)
+    zero_seeded = partial = 0
+    for _ in range(400):
+        bound = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(rng.randint(0, 6)))
+        some = rng.sample(range(len(bound)), rng.randint(0, len(bound)))
+        for seeds in ((), some, range(len(bound))):
+            table = BoxTable(bound, seeds)
+            assert (table.best, table.count) == _per_cell_seeds(bound, set(seeds)), (bound, seeds)
+        cells = list(itertools.product(*(range(b + 1) for b in bound)))
+        assert [table.index(a) for a in cells] == list(range(len(cells))), bound
+        zero_seeded += any(bound[i] == 0 for i in some)
+        partial += 0 < len(some) < len(bound)
+    assert zero_seeded >= 100 and partial >= 150, (zero_seeded, partial)
 
 
 def _pass_per_item(ctx, kind):
@@ -547,6 +593,21 @@ def test_reduced_membership_and_norm_match_the_direct_path(q, lam, box, sigma_me
         checked += 1
         negative += min(qd.descend(q, qd.PairState(ctx.weight, alpha))[0].dim) < 0
     assert checked >= 20 and negative >= 1 and sigma == sigma_members
+
+
+def test_over_cap_queries_reuse_the_reduced_context():
+    # one reduced context per reduced weight, grown by joins: (3,10,7,5), (3,11,7,5) and (3,11,7,6)
+    # descend along 2,1,3,4 to (2,5,3,3), (1,4,2,1) and (2,5,4,3); (4,12,8,4) to (0,0,0,4) elsewhere
+    ctx = qd.LambdaContext(EX4, EX4_WEIGHT)
+    direct = qd.LambdaContext(EX4, EX4_WEIGHT, qd.Caps(max_bound_sum=30))
+    low, dim, seq = ctx.resolve((3, 10, 7, 5))
+    assert (dim, seq, low._bound) == ((2, 5, 3, 3), ("2", "1", "3", "4"), (2, 5, 3, 3))
+    for alpha in ((3, 10, 7, 5), (3, 11, 7, 5), (3, 11, 7, 6), (4, 12, 8, 4), (3, 10, 7, 5), (4, 12, 8, 4)):
+        reduced = ctx.resolve(alpha)[0]
+        assert ctx.resolve(alpha)[0] is reduced is ctx._reduced[reduced.weight], alpha
+        assert _answers(ctx, alpha) == _answers(direct, alpha), alpha
+    assert ctx.resolve((3, 11, 7, 5))[0] is low and low._bound == (2, 5, 4, 3)
+    assert len(ctx._reduced) == 2
 
 
 def test_sigma_queries_on_an_over_cap_weighted_pair(capsys):
