@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
+from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import InternalInconsistency, NotInNRLambdaPlus, NotIsotropicSigma, SumMismatch
@@ -21,21 +23,11 @@ from .quiver_core import (
     DimVector,
     dim_vector,
     integer_entries,
-    restrict,
-    restrict_vector,
-    support,
     weight_entry_to_json,
     weight_to_json_list,
 )
 from .reflection_walk import PairState, descend
-from .root_system import (
-    RootClass,
-    ShapeKind,
-    ade_label,
-    classify_shape,
-    in_fundamental_region,
-    simple_reflection,
-)
+from .root_system import RootClass, _affine_label, _in_fundamental, simple_reflection
 
 
 class Term(NamedTuple):
@@ -188,25 +180,25 @@ def kleinian_label(ctx: LambdaContext, sigma: Sequence[int]) -> str | None:
     ends in the fundamental region, at the delta of an extended Dynkin
     support. None when the path has more than ``caps.max_states`` states;
     NotIsotropicSigma when its end shows ``sigma`` is no isotropic Sigma member.
+
+    The end d is judged by the Cartan rows C_S on its support S: by Vinberg's trichotomy
+    (Kac, Infinite-Dimensional Lie Algebras, Thm 4.3), a d > 0 with C_S d = 0 makes S extended
+    Dynkin with radical spanned by d / gcd(d); as d lies in the fundamental region, (d, d) <= 0
+    rules out Dynkin S, and semidefinite S has C_S d = 0.
     """
     sigma = dim_vector(ctx.quiver, sigma)
     state, seq = descend(ctx.quiver, PairState(ctx.weight, sigma))
     if len(seq) >= ctx.caps.max_states:
         return None
-    if not in_fundamental_region(ctx.quiver, state.dim):
+    d = state.dim
+    if not _in_fundamental(ctx.quiver, d):
         raise NotIsotropicSigma(f"descent of {sigma!r} ends outside the fundamental region")
-    supp = support(ctx.quiver, state.dim)
-    sub = restrict(ctx.quiver, supp)
-    shape = classify_shape(sub)
-    if shape.kind is not ShapeKind.EXTENDED_DYNKIN:
-        raise NotIsotropicSigma(
-            f"fundamental representative {state.dim!r} has support of kind {shape.kind.value}"
-        )
-    if restrict_vector(ctx.quiver, state.dim, supp) != shape.delta:
-        raise NotIsotropicSigma(
-            f"fundamental representative {state.dim!r} is not the delta of its support"
-        )
-    return ade_label(sub, shape)
+    cartan, supp = ctx.quiver.cartan_matrix(), [i for i, x in enumerate(d) if x]
+    if any(sum(map(mul, cartan[i], d)) for i in supp):  # C_S d, as d is 0 off S
+        raise NotIsotropicSigma(f"fundamental representative {d!r} has support of kind Other")
+    if gcd(*d) != 1:
+        raise NotIsotropicSigma(f"fundamental representative {d!r} is not the delta of its support")
+    return _affine_label([[cartan[i][j] for j in supp] for i in supp], tuple(d[i] for i in supp), d)
 
 
 def _format_vector(vec) -> str:

@@ -11,7 +11,8 @@ its definition, a maximum over decompositions into all orthogonal roots,
 in a table of its own, so the decomposer's check that the Sigma maximum
 equals it compares two computations; the real roots it leaves out, sums
 of orthogonal coordinate vectors, are read off the weight and p, never off
-Sigma. Tables are filled bottom-up.
+Sigma; where the weight is 0 at every loopfree vertex, the box classifies only
+imaginary roots and coordinate vectors. Tables are filled bottom-up.
 """
 
 from __future__ import annotations
@@ -118,22 +119,29 @@ class LambdaContext:
         self.caps = caps
         self._bound: DimVector = zero_vector(quiver)
         self._roots: dict[DimVector, int] = {}  # p of each orthogonal root of the box, by (sum, lex)
+        self._real = True  # whether ``_roots`` holds every real root of the box
         self._tables: dict[str, BoxTable] = {}
         self._reduced: dict[WeightVector, LambdaContext] = {}  # where over-cap vectors descend, by weight
+        self._over: dict[DimVector, tuple[LambdaContext, DimVector, tuple[str, ...]]] = {}  # resolved over-cap
 
-    def _cover(self, bound: DimVector) -> None:
-        """Classify a box containing ``bound``: the join with the old box, if it fits the caps."""
-        if _below(bound, self._bound):
+    def _cover(self, bound: DimVector, real: bool = False) -> None:
+        """Classify a box containing ``bound``: the join with the old box, if it fits the caps.
+
+        Where the weight is 0 at every loopfree vertex no table keeps a real root (see ``_table``),
+        so unless ``real`` asks for every one, the coordinate vectors are the only real roots classified.
+        """
+        if _below(bound, self._bound) and (self._real or not real):
             return
         box = tuple(map(max, bound, self._bound))
         try:
             self.caps.check_box(box)
         except ResourceLimit:
             box = bound
-        roots = _roots_with_p(self.quiver, box, self.caps)
+        real = real or any(w for w, v in zip(self._scaled, self.quiver.vertices) if self.quiver.is_loopfree(v))
+        roots = _roots_with_p(self.quiver, box, self.caps, real)
         kept = sorted((b for b in roots if sum(map(mul, self._scaled, b)) == 0), key=lambda b: (sum(b), b))
         self._roots = {b: roots[b] for b in kept}
-        self._bound = box
+        self._bound, self._real = box, real
         self._tables.clear()
 
     def orthogonal_roots_upto(self, bound: Sequence[int]) -> tuple[DimVector, ...]:
@@ -141,33 +149,37 @@ class LambdaContext:
         bound = dim_vector(self.quiver, bound)
         if any(b < 0 for b in bound):
             raise ValueError("bound must be nonnegative")
-        self._cover(bound)
+        self._cover(bound, real=True)
         return tuple(b for b in self._roots if _below(b, bound))
 
     def resolve(self, a: Sequence[int]) -> tuple[LambdaContext, DimVector, tuple[str, ...]]:
         """(context, vector, reflections) that a vector query on ``a`` runs on, the box covering it.
 
         Itself, ``a`` and () when the caps admit a box containing ``a``; else the pair's admissible
-        descent, which keeps orthogonal roots and p, on the context kept for its reduced weight. A
-        negative entry, given or reached, raises NotInNRLambdaPlus; a descent with no step, as at
-        weight 0, re-raises the caps' refusal.
+        descent, which keeps orthogonal roots and p, on the context kept for its reduced weight;
+        that triple is kept per vector, as no box of the caps ever covers it. A negative entry,
+        given or reached, raises NotInNRLambdaPlus; a descent with no step, as at weight 0,
+        re-raises the caps' refusal.
         """
         a = dim_vector(self.quiver, a)
         if any(e < 0 for e in a):
             raise NotInNRLambdaPlus(f"{a!r} has a negative entry")
-        try:
-            self._cover(a)
-            return self, a, ()
-        except ResourceLimit:
-            state, seq = descend(self.quiver, PairState(self.weight, a))
-            if not seq:
-                raise
-        if min(state.dim) < 0:
-            raise NotInNRLambdaPlus(f"{a!r} reflects along {','.join(seq)} to {state.dim!r}")
-        low = self._reduced.get(state.weight) or LambdaContext(self.quiver, state.weight, self.caps)
-        self._reduced[state.weight] = low
-        low._cover(state.dim)
-        return low, state.dim, seq
+        if a not in self._over:
+            try:
+                self._cover(a)
+                return self, a, ()
+            except ResourceLimit:
+                state, seq = descend(self.quiver, PairState(self.weight, a))
+                if not seq:
+                    raise
+            if min(state.dim) < 0:
+                raise NotInNRLambdaPlus(f"{a!r} reflects along {','.join(seq)} to {state.dim!r}")
+            low = self._reduced.get(state.weight) or LambdaContext(self.quiver, state.weight, self.caps)
+            self._reduced[state.weight] = low
+            self._over[a] = low, state.dim, seq
+        low, b, seq = self._over[a]
+        low._cover(b)  # the reduced box may since have moved to another vector's
+        return low, b, seq
 
     def sigma_table(self, bound: Sequence[int]) -> BoxTable:
         """Best Sigma multisets, with their counts, over a box containing ``bound``."""
@@ -186,7 +198,8 @@ class LambdaContext:
         table leaves out every other real root where the weight is 0, a sum of those (real
         roots avoid loops), so no best changes. Sigma decides roots by (entry sum, lex): read
         before the root is added, its cell holds its best proper split, and a root whose p
-        beats that joins Sigma and the table.
+        beats that joins Sigma and the table. Where the weight is 0 at every loopfree vertex,
+        each real root lies on seeded coordinates, so neither table keeps one beyond the seeds.
         """
         if kind not in self._tables:
             seeds = {b: b.index(1) for b, p in self._roots.items() if sum(b) == 1 and not p}

@@ -202,14 +202,15 @@ def descend(q: Quiver, pair: PairState) -> tuple[PairState, tuple[str, ...]]:
     Stops early at a negative entry; each step lowers the total, so it ends.
     """
     pairs = _IntegerPairs(q, pair)
-    state, seq = pairs.root, []
-    while min(state[1], default=0) >= 0:
-        down = next(((i, nxt) for i, nxt in pairs.steps(*state) if sum(nxt[1]) < sum(state[1])), None)
+    (weight, dim), seq = pairs.root, []
+    while min(dim, default=0) >= 0:
+        down = next(((i, row, c) for i, row in pairs.moves if weight[i] and (c := sum(map(mul, row, dim))) > 0), None)
         if down is None:
             break
-        seq.append(pairs.vertices[down[0]])
-        state = down[1]
-    return (pairs.pair(state) if seq else pairs.start), tuple(seq)
+        i, row, c = down
+        seq.append(pairs.vertices[i])
+        weight, dim = tuple([x - r * weight[i] for x, r in zip(weight, row)]), dim[:i] + (dim[i] - c,) + dim[i + 1:]
+    return (pairs.pair((weight, dim)) if seq else pairs.start), tuple(seq)
 
 
 def strip_simple(q: Quiver, pair: PairState) -> tuple[str, PairState] | None:

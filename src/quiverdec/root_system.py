@@ -121,7 +121,7 @@ def positive_roots_upto(q: Quiver, bound: Sequence[int], caps: Caps = DEFAULT_CA
     return tuple(sorted(_roots_with_p(q, bound, caps)))
 
 
-def _roots_with_p(q: Quiver, bound: Sequence[int], caps: Caps) -> dict[DimVector, int]:
+def _roots_with_p(q: Quiver, bound: Sequence[int], caps: Caps, real: bool = True) -> dict[DimVector, int]:
     """Each positive root componentwise below ``bound``, with its p.
 
     Kac: a positive root that is no loopfree coordinate vector and lies outside the
@@ -131,7 +131,8 @@ def _roots_with_p(q: Quiver, bound: Sequence[int], caps: Caps) -> dict[DimVector
     that stay in the box, and each keeps its seed's p. F is searched coordinate by
     coordinate, each over one interval. Every vector carries its pairings with the e_k,
     which a reflection at k moves by a multiple of row k of the form. Vertices of bound 0
-    drop out: a raising reflection there leaves the box.
+    drop out: a raising reflection there leaves the box. Unless ``real``, only F's seeds
+    are raised: the result holds the imaginary roots and the loopfree coordinate vectors.
     """
     bound = dim_vector(q, bound)
     if any(b < 0 for b in bound):
@@ -159,9 +160,9 @@ def _roots_with_p(q: Quiver, bound: Sequence[int], caps: Caps) -> dict[DimVector
         return tuple(next(entries) if b else 0 for b in bound)
 
     connected = cache(lambda supp: has_connected_support(q, place(supp)))  # many vectors share a support
-    frontier = [(tuple(int(j == k) for j in range(len(live))), form[k]) for k in free]
-    frontier += [(a, row) for a, row in cone if any(a) and connected(tuple(map(bool, a)))]
-    roots = {a: 1 - sum(map(mul, a, row)) // 2 for a, row in frontier}
+    simple = [(tuple(int(j == k) for j in range(len(live))), form[k]) for k in free]
+    frontier = (simple if real else []) + [(a, row) for a, row in cone if any(a) and connected(tuple(map(bool, a)))]
+    roots = {a: 1 - sum(map(mul, a, row)) // 2 for a, row in simple + frontier}
     while frontier:
         a, row = frontier.pop()
         for k in free:
@@ -303,28 +304,33 @@ def extended_dynkin_quiver(name: str) -> Quiver:
 
 
 def ade_label(q: Quiver, shape: QuiverShape | None = None) -> str:
-    """ADE type of an extended Dynkin quiver, e.g. ``A1`` for the double arrow.
-
-    The first of A, D and E on the quiver's vertex count whose catalogue diagram
-    has the quiver's vertex count, sorted degrees and sorted delta; the families
-    differ in their largest delta entry, so at most one matches.
-    """
+    """ADE type of an extended Dynkin quiver, e.g. ``A1`` for the double arrow (see :func:`_affine_label`)."""
     shape = shape or classify_shape(q)
     if shape.kind is not ShapeKind.EXTENDED_DYNKIN or shape.delta is None:
         raise ValueError("ADE labels exist only for extended Dynkin quivers")
-    rank, signature = q.n - 1, _signature(q, shape.delta)
+    return _affine_label(q.cartan_matrix(), shape.delta, q)
+
+
+def _affine_label(rows: Sequence[Sequence[int]], delta: Sequence[int], owner: object) -> str:
+    """ADE type of the diagram with Cartan matrix ``rows`` and null vector ``delta``.
+
+    The first of A, D and E on its vertex count whose catalogue diagram has the same
+    vertex count, sorted degrees 2 - (row sum) and sorted delta; the families differ in
+    their largest delta entry, so at most one matches. ``owner`` names the diagram in the error.
+    """
+    rank, signature = len(rows) - 1, _signature(rows, delta)
     for label in [f"A{rank}"] + [f"D{rank}"] * (rank >= 4) + [f"E{rank}"] * (rank in (6, 7, 8)):
         if _catalogue_signature(label) == signature:
             return label
-    raise InternalInconsistency(f"delta {shape.delta!r} of {q!r} matches no affine ADE diagram")
+    raise InternalInconsistency(f"delta {delta!r} of {owner!r} matches no affine ADE diagram")
 
 
-def _signature(q: Quiver, delta: DimVector) -> tuple:
-    return q.n, tuple(sorted(map(q.degree, q.vertices))), tuple(sorted(delta))
+def _signature(rows: Sequence[Sequence[int]], delta: Sequence[int]) -> tuple:
+    return len(rows), tuple(sorted(2 - sum(row) for row in rows)), tuple(sorted(delta))
 
 
 @cache
 def _catalogue_signature(label: str) -> tuple:
     """Vertex count, sorted degrees and sorted delta of a catalogue diagram, once per label."""
     reference = extended_dynkin_quiver(label)
-    return _signature(reference, classify_shape(reference).delta)
+    return _signature(reference.cartan_matrix(), classify_shape(reference).delta)

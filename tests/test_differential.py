@@ -7,7 +7,9 @@ extended Dynkin type up to E8 against the closed count of affine roots.
 The block-built table seeds are checked against a per-cell seeding, the
 seeded tables against one knapsack pass per item, the integer radical
 against the rational elimination, over-cap queries on the kept reduced
-contexts against the direct path, and the tables behind Sigma, the norm,
+contexts against the direct path, the Kleinian labels read off Cartan rows
+against the sub-quiver path, the tables of a box classified without its
+real roots against the full classification, and the tables behind Sigma, the norm,
 the best proper split and additive-closure membership against the
 definitional paths, at boxes up to twice delta of the extended Dynkin
 quivers, where the oracle still enumerates quickly.
@@ -24,7 +26,7 @@ import pytest
 
 import quiverdec as qd
 from corpus import build_corpus
-from quiverdec import cli, oracle
+from quiverdec import cli, lambda_roots, oracle
 from quiverdec.errors import InadmissibleStep
 from quiverdec.lambda_roots import BoxTable
 from quiverdec.quiver_core import connected_components, pairing_with_simple, restrict_vector
@@ -418,22 +420,69 @@ def test_seeded_tables_match_one_pass_per_item():
     assert partial >= 150 and interleaved >= 50 and zero_bound >= 150, (partial, interleaved, zero_bound)
 
 
+def test_imaginary_only_tables_match_the_full_classification():
+    # weight 0 at every loopfree vertex, any weight at a loop vertex: each real root is
+    # orthogonal, and the tables, classified without the real roots of entry sum above 1,
+    # match one pass per item over every orthogonal root
+    rng = random.Random(313)
+    skipped = weighted = 0
+    for _ in range(500):
+        q = _random_quiver(rng, rng.randint(1, 4))
+        lam = tuple(0 if q.is_loopfree(v) else rng.choice((0, 1, -1, Fraction(1, 2))) for v in q.vertices)
+        bound = tuple(rng.randint(0, 3) for _ in q.vertices)
+        roots = [b for b in qd.positive_roots_upto(q, bound) if qd.lambda_dot(lam, b) == 0]
+        full = qd.LambdaContext(q, lam)
+        assert full.orthogonal_roots_upto(bound) == tuple(sorted(roots, key=lambda b: (sum(b), b)))
+        assert full._roots == {b: qd.p_form(q, b) for b in full.orthogonal_roots_upto(bound)}
+        ctx = qd.LambdaContext(q, lam)
+        for kind in ("sigma", "norm")[:: 1 - 2 * rng.randint(0, 1)]:
+            table, reference = getattr(ctx, f"{kind}_table")(bound), _pass_per_item(full, kind)[0]
+            assert (table.best, table.count) == (reference.best, reference.count), (q.arrows, lam, bound, kind)
+            assert list(table.items.items()) == list(reference.items.items()), (q.arrows, lam, bound, kind)
+        assert set(ctx._roots) == {b for b in roots if sum(b) == 1 or qd.p_form(q, b)}, (q.arrows, lam, bound)
+        skipped += len(ctx._roots) < len(roots)
+        weighted += any(lam) and len(ctx._roots) < len(roots)
+        assert ctx.orthogonal_roots_upto(bound) == full.orthogonal_roots_upto(bound)  # classified again, in full
+    assert skipped >= 80 and weighted >= 25, (skipped, weighted)
+
+
+def test_e8_delta_at_weight_zero_classifies_ten_roots():
+    q, delta = _affine_box("E8", 1)
+    ctx = qd.LambdaContext(q, (0,) * q.n, qd.Caps(max_bound_sum=40))
+    report = qd.product_structure_report(ctx, delta)
+    assert report.formula == f"N(({','.join('0' * q.n)}),({','.join(map(str, delta))}))"
+    assert [f.describe() for f in report.factors] == ["Kleinian(E8)"]
+    assert len(ctx._roots) == 10  # delta and the nine coordinate vectors
+    assert len(ctx.orthogonal_roots_upto(delta)) == len(ctx._roots) == 241
+
+
 # -- admissible descent against the breadth-first search and the direct path ----
 
 TRIANGLE_DELTA = (0, 1, 1, 1)
+
+
+def _subquiver_label(q, d):
+    """The label of a descent's end ``d`` from the sub-quiver on its support, with kleinian_label's errors.
+
+    The support's shape comes from the radical of its form, and the label from its delta.
+    """
+    if not qd.in_fundamental_region(q, d):
+        raise qd.NotIsotropicSigma(f"descent of {d!r} ends outside the fundamental region")
+    supp = qd.support(q, d)
+    sub = qd.restrict(q, supp)
+    shape = qd.classify_shape(sub)
+    if shape.kind is not qd.ShapeKind.EXTENDED_DYNKIN:
+        raise qd.NotIsotropicSigma(f"fundamental representative {d!r} has support of kind {shape.kind.value}")
+    if restrict_vector(q, d, supp) != shape.delta:
+        raise qd.NotIsotropicSigma(f"fundamental representative {d!r} is not the delta of its support")
+    return qd.ade_label(sub, shape)
 
 
 def _bfs_label(ctx, sigma):
     """(fundamental-region vector, Kleinian label) as the breadth-first orbit search gives them."""
     found = qd.fundamental_representative(ctx.quiver, qd.PairState(ctx.weight, sigma), budget=100_000)
     assert found is not None, (ctx.weight, sigma)
-    dim = found[0].dim
-    supp = qd.support(ctx.quiver, dim)
-    sub = qd.restrict(ctx.quiver, supp)
-    shape = qd.classify_shape(sub)
-    assert shape.kind is qd.ShapeKind.EXTENDED_DYNKIN
-    assert restrict_vector(ctx.quiver, dim, supp) == shape.delta
-    return dim, qd.ade_label(sub, shape)
+    return found[0].dim, _subquiver_label(ctx.quiver, found[0].dim)
 
 
 def _reflected_isotropic_pair(target, rng):
@@ -483,6 +532,36 @@ def test_descent_labels_match_the_orbit_search():
         assert (state.dim, qd.kleinian_label(ctx, sigma)) == _bfs_label(ctx, sigma), (ctx.weight, sigma)
         reflected += len(seq) >= 6
     assert len(cases) >= 16 and reflected == 6
+
+
+def _label_outcome(label, *args):
+    try:
+        return label(*args)
+    except qd.QuiverdecError as error:
+        return type(error), str(error)
+
+
+def test_cartan_row_labels_match_the_subquiver_path():
+    # at weight 0 no reflection is admissible, so each vector is its own descent's end;
+    # random small quivers with loops and parallel arrows, then k * delta of the catalogue
+    rng = random.Random(909)
+    cases = []
+    for _ in range(150):
+        q = _random_quiver(rng, rng.randint(1, 4))
+        cases += [(q, a) for a in iter_box((3,) * q.n)]
+    for name in [f"A{r}" for r in range(9)] + [f"D{r}" for r in range(4, 9)] + ["E6", "E7", "E8"]:
+        q, delta = _affine_box(name, 1)
+        cases += [(q, delta), (q, _multiple(2, delta))]
+    seen = Counter()
+    for q, a in cases:
+        got = _label_outcome(qd.kleinian_label, qd.LambdaContext(q, (0,) * q.n), a)
+        assert got == _label_outcome(_subquiver_label, q, a), (q.arrows, a)
+        if _in_fundamental(q, a):
+            seen[got if isinstance(got, str) else got[1].split()[-1]] += 1
+            # a label on a support that a vertex outside it pairs with: C_S d = 0, but not C d
+            seen["edge"] += isinstance(got, str) and any(pairing_with_simple(q, a, v) for v in q.vertices)
+    assert seen["Other"] >= 1000 and seen["support"] >= 200 and seen["edge"] >= 50, seen
+    assert all(seen[f"A{r}"] for r in range(9)) and seen["E8"] == 1, seen
 
 
 # -- the fundamental region against its definition -------------------------------
@@ -608,6 +687,21 @@ def test_over_cap_queries_reuse_the_reduced_context():
         assert _answers(ctx, alpha) == _answers(direct, alpha), alpha
     assert ctx.resolve((3, 11, 7, 5))[0] is low and low._bound == (2, 5, 4, 3)
     assert len(ctx._reduced) == 2
+
+
+def test_a_repeated_over_cap_query_descends_once(monkeypatch):
+    descents = []
+
+    def counted(q, pair):
+        descents.append(pair.dim)
+        return qd.descend(q, pair)
+
+    monkeypatch.setattr(lambda_roots, "descend", counted)
+    ctx = qd.LambdaContext(EX4, EX4_WEIGHT)
+    direct = qd.LambdaContext(EX4, EX4_WEIGHT, qd.Caps(max_bound_sum=30))
+    order = ((4, 12, 8, 4), (3, 10, 7, 5), (4, 12, 8, 4), (4, 12, 8, 4), (3, 10, 7, 5))
+    assert [_answers(ctx, alpha) for alpha in order] == [_answers(direct, alpha) for alpha in order]
+    assert descents == [(4, 12, 8, 4), (3, 10, 7, 5)]
 
 
 def test_sigma_queries_on_an_over_cap_weighted_pair(capsys):
