@@ -8,7 +8,8 @@ grinding through an astronomical box.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
+from contextlib import suppress
+from dataclasses import dataclass, fields
 
 from .errors import InvalidCaps, ResourceLimit
 
@@ -32,9 +33,8 @@ class Caps:
                 raise InvalidCaps(f"{field.name} must be a positive integer, got {value!r}")
 
     @classmethod
-    def from_env(cls, base: "Caps" | None = None) -> "Caps":
-        """Return ``base`` with any environment overrides applied."""
-        caps = base or cls()
+    def from_env(cls) -> "Caps":
+        """The default caps with any environment overrides applied."""
         updates = {}
         for env, field in (
             (ENV_MAX_BOX, "max_box_volume"),
@@ -43,10 +43,11 @@ class Caps:
         ):
             raw = os.environ.get(env)
             if raw is not None:
-                if not raw.strip().isdecimal() or int(raw) <= 0:
+                with suppress(ValueError):  # int() refuses more digits than the interpreter converts
+                    updates[field] = raw.strip().isdecimal() and int(raw)
+                if not updates.get(field):
                     raise InvalidCaps(f"{env} must be a positive integer, got {raw!r}")
-                updates[field] = int(raw)
-        return replace(caps, **updates) if updates else caps
+        return cls(**updates)
 
     def check_box(self, bound) -> None:
         """Reject a componentwise enumeration box that exceeds the caps."""

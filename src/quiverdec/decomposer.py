@@ -27,7 +27,7 @@ from .quiver_core import (
     weight_to_json_list,
 )
 from .reflection_walk import PairState, descend
-from .root_system import RootClass, _affine_label, _in_fundamental, simple_reflection
+from .root_system import _CLASS_BY_P, RootClass, _affine_label, _in_fundamental, simple_reflection
 
 
 class Term(NamedTuple):
@@ -55,10 +55,6 @@ class CanonicalDecomposition:
         for t in self.terms:
             out.extend([t.sigma] * t.multiplicity)
         return tuple(sorted(out))
-
-
-# a positive root is real at p = 0, isotropic at p = 1 and non-isotropic above
-_CLASS_BY_P = RootClass.REAL, RootClass.ISOTROPIC_IMAGINARY, RootClass.NONISOTROPIC_IMAGINARY
 
 
 def _maximal_sigma_multiset(ctx: LambdaContext, a: DimVector):

@@ -9,10 +9,10 @@ multiset, of members with smaller entry sums, and visiting the roots by
 (entry sum, lex) decides each from the members before it. The norm keeps
 its definition, a maximum over decompositions into all orthogonal roots,
 in a table of its own, so the decomposer's check that the Sigma maximum
-equals it compares two computations; the real roots it leaves out, sums
-of orthogonal coordinate vectors, are read off the weight and p, never off
-Sigma; where the weight is 0 at every loopfree vertex, the box classifies only
-imaginary roots and coordinate vectors. Tables are filled bottom-up.
+equals it compares two computations. Neither table can use a real root where
+the weight is 0, a sum of orthogonal coordinate vectors, so the classified
+box keeps none; ``LambdaContext._cover`` states that rule once. Tables are
+filled bottom-up.
 """
 
 from __future__ import annotations
@@ -118,39 +118,40 @@ class LambdaContext:
         self._scaled = _integer_weight(self.weight)[1]  # orthogonality is linear in the weight
         self.caps = caps
         self._bound: DimVector = zero_vector(quiver)
-        self._roots: dict[DimVector, int] = {}  # p of each orthogonal root of the box, by (sum, lex)
-        self._real = True  # whether ``_roots`` holds every real root of the box
+        self._roots: dict[DimVector, int] = {}  # p of each kept orthogonal root of the box, by (sum, lex)
         self._tables: dict[str, BoxTable] = {}
         self._reduced: dict[WeightVector, LambdaContext] = {}  # where over-cap vectors descend, by weight
         self._over: dict[DimVector, tuple[LambdaContext, DimVector, tuple[str, ...]]] = {}  # resolved over-cap
 
-    def _cover(self, bound: DimVector, real: bool = False) -> None:
-        """Classify a box containing ``bound``: the join with the old box, if it fits the caps.
+    def _cover(self, bound: DimVector) -> None:
+        """Classify a box containing ``bound``, the join with the old box if it fits the caps.
 
-        Where the weight is 0 at every loopfree vertex no table keeps a real root (see ``_table``),
-        so unless ``real`` asks for every one, the coordinate vectors are the only real roots classified.
+        Of the orthogonal roots it keeps those with p > 0, the coordinate vectors and those where
+        the weight is nonzero on the support: no table can use any other, a real root that sums
+        orthogonal coordinate vectors of p = 0. So where the weight is 0 at every loopfree vertex,
+        only imaginary roots are raised.
         """
-        if _below(bound, self._bound) and (self._real or not real):
+        if _below(bound, self._bound):
             return
         box = tuple(map(max, bound, self._bound))
         try:
             self.caps.check_box(box)
         except ResourceLimit:
             box = bound
-        real = real or any(w for w, v in zip(self._scaled, self.quiver.vertices) if self.quiver.is_loopfree(v))
+        real = any(w for w, v in zip(self._scaled, self.quiver.vertices) if self.quiver.is_loopfree(v))
         roots = _roots_with_p(self.quiver, box, self.caps, real)
-        kept = sorted((b for b in roots if sum(map(mul, self._scaled, b)) == 0), key=lambda b: (sum(b), b))
-        self._roots = {b: roots[b] for b in kept}
-        self._bound, self._real = box, real
+        self._roots = {b: roots[b] for b in self._orthogonal(roots)
+                       if roots[b] or sum(b) == 1 or any(map(mul, self._scaled, b))}
+        self._bound = box
         self._tables.clear()
 
+    def _orthogonal(self, roots: Iterable[DimVector]) -> list[DimVector]:
+        """Those of ``roots`` orthogonal to the weight, by (entry sum, lex)."""
+        return sorted((b for b in roots if not sum(map(mul, self._scaled, b))), key=lambda b: (sum(b), b))
+
     def orthogonal_roots_upto(self, bound: Sequence[int]) -> tuple[DimVector, ...]:
-        """Positive roots below ``bound`` orthogonal to the weight, by (entry sum, lex)."""
-        bound = dim_vector(self.quiver, bound)
-        if any(b < 0 for b in bound):
-            raise ValueError("bound must be nonnegative")
-        self._cover(bound, real=True)
-        return tuple(b for b in self._roots if _below(b, bound))
+        """Positive roots below ``bound`` orthogonal to the weight, by (entry sum, lex); the box stays."""
+        return tuple(self._orthogonal(_roots_with_p(self.quiver, bound, self.caps)))
 
     def resolve(self, a: Sequence[int]) -> tuple[LambdaContext, DimVector, tuple[str, ...]]:
         """(context, vector, reflections) that a vector query on ``a`` runs on, the box covering it.
@@ -194,12 +195,10 @@ class LambdaContext:
     def _table(self, kind: str) -> BoxTable:
         """The "sigma" or "norm" table of the classified box, built on first use.
 
-        Both tables seed the roots of entry sum 1 and p = 0, which come first. The norm
-        table leaves out every other real root where the weight is 0, a sum of those (real
-        roots avoid loops), so no best changes. Sigma decides roots by (entry sum, lex): read
-        before the root is added, its cell holds its best proper split, and a root whose p
-        beats that joins Sigma and the table. Where the weight is 0 at every loopfree vertex,
-        each real root lies on seeded coordinates, so neither table keeps one beyond the seeds.
+        Both tables seed the roots of entry sum 1 and p = 0, which come first, and the norm
+        table adds every other kept root. Sigma decides roots by (entry sum, lex): read before
+        the root is added, its cell holds its best proper split, and a root whose p beats that
+        joins Sigma and the table.
         """
         if kind not in self._tables:
             seeds = {b: b.index(1) for b, p in self._roots.items() if sum(b) == 1 and not p}
@@ -207,12 +206,7 @@ class LambdaContext:
             for beta, p in self._roots.items():
                 if beta in seeds:  # seeded, with no proper split: never read its cell
                     table.items[beta] = p
-                    continue
-                if kind == "norm":
-                    keep = p or any(map(mul, self._scaled, beta))
-                else:
-                    keep = (split := table[beta]) is None or split < p
-                if keep:
+                elif kind == "norm" or (split := table[beta]) is None or split < p:
                     table.add(beta, p)
         return self._tables[kind]
 

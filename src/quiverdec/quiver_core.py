@@ -12,6 +12,7 @@ anywhere in the package: the conditions consumed downstream (``lam . a == 0``,
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -293,14 +294,23 @@ def weight_to_json_list(lam: Sequence[Fraction]) -> list:
 
 
 def parse_rational(token) -> Fraction:
-    """Accept ints, int strings, and exact 'p/q' strings."""
-    if isinstance(token, bool):
-        raise ValueError(f"not a rational: {token!r}")
-    if isinstance(token, int):
-        return Fraction(token)
+    """Accept ints and int, 'p/q' or decimal strings, such as '1.5' or '1e3'.
+
+    A numerator or denominator of more digits than the interpreter converts to text
+    is refused, and an exponent beyond that many before its power is built.
+    """
     if isinstance(token, str):
+        limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
         try:
-            return Fraction(token.strip())
+            exponent = token.lower().partition("e")[2]
+            if limit and exponent and abs(int(exponent)) > limit:
+                raise ValueError
+            value = Fraction(token.strip())
+            top = max(abs(value.numerator), value.denominator)
+            if not limit or top.bit_length() <= 3 * limit or top < 10**limit:  # below 8**limit: fewer digits
+                return value
         except (ValueError, ZeroDivisionError):
-            raise ValueError(f"not a rational: {token!r}") from None
+            pass
+    elif isinstance(token, int) and not isinstance(token, bool):
+        return Fraction(token)
     raise ValueError(f"not a rational: {token!r}")

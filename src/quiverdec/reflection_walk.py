@@ -106,7 +106,7 @@ class _IntegerPairs:
         self.vertices = q.vertices
         self.moves = [(i, q.cartan_matrix()[i]) for i, v in enumerate(q.vertices) if q.is_loopfree(v)]
 
-    def steps(self, weight: tuple[int, ...], dim: DimVector, skip: int = -1) -> Iterator[tuple[int, tuple]]:
+    def steps(self, weight: tuple[int, ...], dim: DimVector, skip: int) -> Iterator[tuple[int, tuple]]:
         for i, row in self.moves:
             if i != skip and (w := weight[i]):
                 reflected = dim[:i] + (dim[i] - sum(map(mul, row, dim)),) + dim[i + 1:]

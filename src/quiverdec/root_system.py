@@ -69,13 +69,18 @@ def _in_fundamental(q: Quiver, a: DimVector) -> bool:
     return all(sum(map(mul, row, a)) <= 0 for row in q.cartan_matrix()) and has_connected_support(q, a)
 
 
+# a positive root is real at p = 0, isotropic at p = 1 and non-isotropic above
+_CLASS_BY_P = RootClass.REAL, RootClass.ISOTROPIC_IMAGINARY, RootClass.NONISOTROPIC_IMAGINARY
+
+
 def classify_root(q: Quiver, a: Sequence[int]) -> RootClass:
-    """Classify a vector by reflection descent.
+    """Classify a vector by Kac's reflection descent on the loopfree Cartan rows.
 
     Accepts a nonzero vector with all entries >= 0 or all <= 0 (a negative
     vector is classified through its absolute value); mixed signs are never
-    roots. Descent always picks the lowest-indexed loopfree vertex pairing
-    positively, so runs are reproducible.
+    roots. Descent picks the lowest-indexed loopfree vertex pairing positively,
+    so runs are reproducible. A vector that stops is a root when its support
+    is connected, of the class its p names.
     """
     a = dim_vector(q, a)
     if all(e == 0 for e in a):
@@ -84,29 +89,18 @@ def classify_root(q: Quiver, a: Sequence[int]) -> RootClass:
         a = tuple(-e for e in a)
     if any(e < 0 for e in a):
         return RootClass.NOT_ROOT
-
-    loopfree = [v for v in q.vertices if q.is_loopfree(v)]
-    while True:
-        # real at a loopfree vertex; at a loop vertex it sits in the fundamental region
-        if sum(a) == 1 and q.is_loopfree(q.vertices[a.index(1)]):
-            return RootClass.REAL
-        v = next((v for v in loopfree if pairing_with_simple(q, a, v) > 0), None)
-        if v is None:
-            break
-        a = simple_reflection(q, v, a)
-        if any(e < 0 for e in a):
-            return RootClass.NOT_ROOT
-    # no descent available: fundamental region or disconnected support
+    rows = [(i, row) for i, row in enumerate(q.cartan_matrix()) if q.is_loopfree(q.vertices[i])]
+    while down := next(((i, c) for i, row in rows if (c := sum(map(mul, row, a))) > 0), None):
+        i, c = down
+        if a[i] < c:  # the step leaves the orthant; a coordinate vector pairs positively only at its own vertex
+            return RootClass.REAL if sum(a) == 1 else RootClass.NOT_ROOT
+        a = a[:i] + (a[i] - c,) + a[i + 1:]
     if not has_connected_support(q, a):
         return RootClass.NOT_ROOT
     p = p_form(q, a)
-    if p == 1:
-        return RootClass.ISOTROPIC_IMAGINARY
-    if p > 1:
-        return RootClass.NONISOTROPIC_IMAGINARY
-    raise InternalInconsistency(
-        f"vector {a!r} stuck in descent with p={p}; the fundamental region has p >= 1"
-    )
+    if p < 1:
+        raise InternalInconsistency(f"vector {a!r} stuck in descent with p={p}; the fundamental region has p >= 1")
+    return _CLASS_BY_P[min(p, 2)]
 
 
 def iter_box(bound: Sequence[int]):

@@ -123,6 +123,15 @@ def test_exit_codes(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("tail", [
+    ("decompose", "--alpha", "1,1"), ("reflect", "--alpha", "1,1", "--seq", "0"),
+    ("sigma", "--alpha", "1,1"), ("sigma", "--bound", "2,2"), ("roots", "--bound", "2,2"),
+])
+def test_weights_beyond_the_digit_limit_are_refused(capsys, tail):
+    rc, out, err = run(capsys, tail[0], "--quiver", KRONECKER, "--lambda=1e-5000,-1e-5000", *tail[1:])
+    assert (rc, out, err) == (1, "", "error: not a rational: '1e-5000'\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("decompose", "--quiver", KRONECKER, "--lambda", "-1,1", "--alpha", "1,1"),
     ("decompose", "--quiver", EX4, "--lambda", "-1/2,1,-2,3/2", "--alpha", "1,3,2,1", "--json"),
@@ -219,7 +228,7 @@ def test_nonpositive_cap_flags_are_usage_errors(capsys, flag, field, value):
 
 
 @pytest.mark.parametrize("env", ["QUIVERDEC_MAX_BOX", "QUIVERDEC_MAX_SUM", "QUIVERDEC_MAX_STATES"])
-@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", ""])
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", "", pytest.param("9" * 5000, id="5000-nines")])
 def test_bad_cap_values_are_usage_errors(capsys, monkeypatch, env, value):
     monkeypatch.setenv(env, value)
     rc, out, err = run(capsys, "decompose", "--quiver", KRONECKER, "--lambda", "0,0", "--alpha", "1,1")

@@ -9,7 +9,8 @@ seeded tables against one knapsack pass per item, the integer radical
 against the rational elimination, over-cap queries on the kept reduced
 contexts against the direct path, the Kleinian labels read off Cartan rows
 against the sub-quiver path, the tables of a box classified without its
-real roots against the full classification, and the tables behind Sigma, the norm,
+real roots against one pass over every listed orthogonal root, ``classify_root``
+against the oracle's roots, and the tables behind Sigma, the norm,
 the best proper split and additive-closure membership against the
 definitional paths, at boxes up to twice delta of the extended Dynkin
 quivers, where the oracle still enumerates quickly.
@@ -374,9 +375,14 @@ def test_block_built_seeds_match_a_per_cell_seeding():
 
 
 def _pass_per_item(ctx, kind):
-    """The ``kind`` table of the classified box by one pass per kept root, and the splits Sigma read."""
+    """The ``kind`` table of the classified box by one pass per orthogonal root, and the splits Sigma read.
+
+    The norm keeps the roots of p > 0, the coordinate vectors and the roots where the weight is
+    nonzero somewhere on the support; Sigma keeps the roots whose p beats their best proper split.
+    """
     table, splits = BoxTable(ctx._bound), {}
-    for beta, p in ctx._roots.items():
+    for beta in ctx.orthogonal_roots_upto(ctx._bound):
+        p = qd.p_form(ctx.quiver, beta)
         if kind == "norm":
             keep = p or sum(beta) == 1 or any(map(mul, ctx._scaled, beta))
         else:
@@ -423,7 +429,7 @@ def test_seeded_tables_match_one_pass_per_item():
 def test_imaginary_only_tables_match_the_full_classification():
     # weight 0 at every loopfree vertex, any weight at a loop vertex: each real root is
     # orthogonal, and the tables, classified without the real roots of entry sum above 1,
-    # match one pass per item over every orthogonal root
+    # match one pass per item over every orthogonal root that the listing gives
     rng = random.Random(313)
     skipped = weighted = 0
     for _ in range(500):
@@ -431,18 +437,18 @@ def test_imaginary_only_tables_match_the_full_classification():
         lam = tuple(0 if q.is_loopfree(v) else rng.choice((0, 1, -1, Fraction(1, 2))) for v in q.vertices)
         bound = tuple(rng.randint(0, 3) for _ in q.vertices)
         roots = [b for b in qd.positive_roots_upto(q, bound) if qd.lambda_dot(lam, b) == 0]
-        full = qd.LambdaContext(q, lam)
-        assert full.orthogonal_roots_upto(bound) == tuple(sorted(roots, key=lambda b: (sum(b), b)))
-        assert full._roots == {b: qd.p_form(q, b) for b in full.orthogonal_roots_upto(bound)}
+        listed = qd.LambdaContext(q, lam).orthogonal_roots_upto(bound)
+        assert listed == tuple(sorted(roots, key=lambda b: (sum(b), b)))
         ctx = qd.LambdaContext(q, lam)
         for kind in ("sigma", "norm")[:: 1 - 2 * rng.randint(0, 1)]:
-            table, reference = getattr(ctx, f"{kind}_table")(bound), _pass_per_item(full, kind)[0]
+            table = getattr(ctx, f"{kind}_table")(bound)
+            reference = _pass_per_item(ctx, kind)[0]
             assert (table.best, table.count) == (reference.best, reference.count), (q.arrows, lam, bound, kind)
             assert list(table.items.items()) == list(reference.items.items()), (q.arrows, lam, bound, kind)
         assert set(ctx._roots) == {b for b in roots if sum(b) == 1 or qd.p_form(q, b)}, (q.arrows, lam, bound)
         skipped += len(ctx._roots) < len(roots)
         weighted += any(lam) and len(ctx._roots) < len(roots)
-        assert ctx.orthogonal_roots_upto(bound) == full.orthogonal_roots_upto(bound)  # classified again, in full
+        assert ctx.orthogonal_roots_upto(bound) == listed  # every orthogonal root, on a warm context
     assert skipped >= 80 and weighted >= 25, (skipped, weighted)
 
 
@@ -453,7 +459,53 @@ def test_e8_delta_at_weight_zero_classifies_ten_roots():
     assert report.formula == f"N(({','.join('0' * q.n)}),({','.join(map(str, delta))}))"
     assert [f.describe() for f in report.factors] == ["Kleinian(E8)"]
     assert len(ctx._roots) == 10  # delta and the nine coordinate vectors
-    assert len(ctx.orthogonal_roots_upto(delta)) == len(ctx._roots) == 241
+    assert len(ctx.orthogonal_roots_upto(delta)) == 241 and len(ctx._roots) == 10  # listing keeps the box
+
+
+def test_listing_roots_leaves_a_warm_context_as_it_was():
+    ctx = qd.LambdaContext(EX4, EX4_WEIGHT, qd.Caps(max_bound_sum=14))
+    sigma, norm = ctx.sigma_table((1, 3, 2, 1)), ctx.norm_table((1, 3, 2, 1))
+    bound, roots = ctx._bound, ctx._roots
+    cold = qd.LambdaContext(EX4, EX4_WEIGHT, qd.Caps(max_bound_sum=14)).orthogonal_roots_upto((2, 5, 3, 3))
+    assert ctx.orthogonal_roots_upto((2, 5, 3, 3)) == cold and len(cold) > len(roots)
+    with pytest.raises(qd.ResourceLimit, match="bound sum 17 exceeds cap 14"):
+        ctx.orthogonal_roots_upto((3, 6, 4, 4))
+    assert ctx._bound is bound and ctx._roots is roots
+    assert ctx._tables["sigma"] is sigma and ctx._tables["norm"] is norm
+    assert ctx.sigma_table((1, 3, 2, 1)) is sigma and ctx.norm_table((1, 3, 2, 1)) is norm
+
+
+# -- Kac's descent against the oracle's roots ---------------------------------------
+
+_CLASSES = qd.RootClass.REAL, qd.RootClass.ISOTROPIC_IMAGINARY, qd.RootClass.NONISOTROPIC_IMAGINARY
+
+
+def test_classify_root_matches_the_oracle():
+    # every nonzero vector of random boxes, loops and parallel arrows included: a root of the
+    # oracle's closure has the class its p names, any other vector is none; a negated vector gets
+    # the same class and a mixed-sign one is no root
+    rng = random.Random(401)
+    seen, mixed = Counter(), 0
+    for _ in range(300):
+        q = _random_quiver(rng, rng.randint(1, 4))
+        bound = tuple(rng.randint(0, 3) for _ in q.vertices)
+        roots = oracle.positive_roots_in_box(q, bound)
+        for a in iter_box(bound):
+            expected = _CLASSES[min(qd.p_form(q, a), 2)] if a in roots else qd.RootClass.NOT_ROOT
+            assert qd.classify_root(q, a) is expected, (q.arrows, a)
+            assert qd.classify_root(q, tuple(-x for x in a)) is expected, (q.arrows, a)
+            seen[expected] += 1
+            if sum(map(bool, a)) > 1:
+                i = next(i for i, x in enumerate(a) if x)
+                assert qd.classify_root(q, a[:i] + (-a[i],) + a[i + 1:]) is qd.RootClass.NOT_ROOT, (q.arrows, a)
+                mixed += 1
+    assert sum(seen.values()) >= 4000 and mixed >= 3000 and min(seen.values()) >= 400, (seen, mixed)
+    kronecker = qd.extended_dynkin_quiver("A1")
+    for n in (1, 2, 3, 10, 999, 10**4):
+        assert qd.classify_root(kronecker, (n, n + 1)) is qd.RootClass.REAL, n
+        assert qd.classify_root(kronecker, (-n - 1, -n)) is qd.RootClass.REAL, n
+        assert qd.classify_root(kronecker, (n, n)) is qd.RootClass.ISOTROPIC_IMAGINARY, n
+        assert qd.classify_root(kronecker, (n, n + 2)) is qd.RootClass.NOT_ROOT, n
 
 
 # -- admissible descent against the breadth-first search and the direct path ----

@@ -193,3 +193,20 @@ def test_weight_serialization():
     for token in (True, False, 0.5, 2.0, None):
         with pytest.raises(ValueError, match="not a rational"):
             parse_rational(token)
+
+
+def test_rationals_beyond_the_digit_limit_are_refused_while_parsing():
+    import sys
+    import time
+
+    assert parse_rational("1e3") == 1000 and parse_rational("1.5") == Fraction(3, 2)
+    assert parse_rational("-2.5e-2") == Fraction(-1, 40)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="not a rational: '1e-10000000'"):
+        parse_rational("1e-10000000")
+    assert time.perf_counter() - start < 0.1
+    limit = sys.get_int_max_str_digits()
+    assert parse_rational(f"1e{limit - 1}") == 10 ** (limit - 1)  # limit digits: still converts to text
+    for token in (f"1e{limit}", f"1e-{limit}", "1e" + "9" * (limit + 1), "9" * (limit + 1), "0." + "0" * limit + "1"):
+        with pytest.raises(ValueError, match="not a rational"):
+            parse_rational(token)
