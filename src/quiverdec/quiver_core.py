@@ -33,7 +33,7 @@ class Quiver:
     with a loop contributing ``-2*a_i*b_i``.
     """
 
-    __slots__ = ("vertices", "arrows", "_index", "_cartan", "_loops")
+    __slots__ = ("vertices", "arrows", "_index", "_cartan", "_loops", "_moves")
 
     def __init__(self, vertices: Iterable[str], arrows: Iterable[Sequence[str]]):
         vertices = tuple(vertices)
@@ -69,6 +69,8 @@ class Quiver:
         self._index = index
         self._loops = tuple(loops)
         self._cartan = tuple(tuple(row) for row in cartan)
+        self._moves = tuple((i, tuple((j, -c) for j, c in enumerate(row) if c and j != i))
+                            for i, row in enumerate(cartan) if not loops[i])  # loopfree i, neighbours (j, -C_ij)
 
     # -- basic structure --------------------------------------------------
 
@@ -131,8 +133,8 @@ def dim_vector(q: Quiver, entries: Iterable[int]) -> DimVector:
 
 
 def weight_vector(q: Quiver, entries: Iterable) -> WeightVector:
-    """Validate and freeze an exact rational weight indexed by ``q``'s vertices."""
-    vec = tuple(Fraction(e) for e in entries)
+    """Validate and freeze an exact rational weight indexed by ``q``'s vertices; strings via parse_rational."""
+    vec = tuple(e if type(e) is Fraction else parse_rational(e) if isinstance(e, str) else Fraction(e) for e in entries)
     if len(vec) != q.n:
         raise DimensionMismatch(f"expected {q.n} entries, got {len(vec)}")
     return vec

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import mul
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExhausted, InadmissibleStep
@@ -97,23 +96,16 @@ def _integer_weight(lam: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
 
 
 class _IntegerPairs:
-    """A pair's states (L * weight, dim): admissibility and reflection are linear in the weight."""
+    """A pair as one flat state, L * weight then dim: admissibility and reflection are linear in the weight."""
 
     def __init__(self, q: Quiver, pair: PairState):
         self.start = make_pair(q, pair.weight, pair.dim)
         self.scale, weight = _integer_weight(self.start.weight)
-        self.root = (weight, self.start.dim)
-        self.vertices = q.vertices
-        self.moves = [(i, q.cartan_matrix()[i]) for i, v in enumerate(q.vertices) if q.is_loopfree(v)]
+        self.root = weight + self.start.dim
+        self.vertices, self.n, self.moves = q.vertices, q.n, q._moves
 
-    def steps(self, weight: tuple[int, ...], dim: DimVector, skip: int) -> Iterator[tuple[int, tuple]]:
-        for i, row in self.moves:
-            if i != skip and (w := weight[i]):
-                reflected = dim[:i] + (dim[i] - sum(map(mul, row, dim)),) + dim[i + 1:]
-                yield i, (tuple([x - r * w for x, r in zip(weight, row)]), reflected)
-
-    def pair(self, state: tuple) -> PairState:
-        return PairState(tuple(Fraction(x, self.scale) for x in state[0]), state[1])
+    def pair(self, state: tuple[int, ...]) -> PairState:
+        return PairState(tuple(Fraction(x, self.scale) for x in state[:self.n]), state[self.n:])
 
 
 class _OrbitSearch(_IntegerPairs):
@@ -124,6 +116,12 @@ class _OrbitSearch(_IntegerPairs):
     :meth:`sequence` rebuilds a shortest sequence from the parent links on
     demand. ``truncated`` records whether an admission was refused; after the
     first refusal the search stops expanding and hands out only admitted states.
+
+    The start tries every move (``tries[0]``); a state reached by the move at i
+    tries ``tries[i + 1]``, which skips the move back and every j < i with
+    C_ij = 0: s_j commutes with s_i and keeps the weight at j, so the parent P
+    tried j before i, and s_j here gives s_i(s_j P), admitted by the time s_j P
+    was expanded (induction on the BFS index); the admitted states do not change.
     """
 
     def __init__(self, q: Quiver, pair: PairState, budget: int):
@@ -131,16 +129,26 @@ class _OrbitSearch(_IntegerPairs):
         self.budget, self.truncated = budget, budget <= 0
         self.states = [] if self.truncated else [self.root]
         self.parent, self.via = [-1], [-1]
+        self.tries = [[move for move in self.moves if (j := move[0]) > i or j != i and q.cartan_matrix()[i][j]]
+                      for i in range(-1, self.n)]
 
     def __iter__(self) -> Iterator[int]:
-        states, parent, via = self.states, self.parent, self.via
+        states, parent, via, n = self.states, self.parent, self.via, self.n
         seen = set(states)
         for k, state in enumerate(states):  # grows while it is read: the list is the queue
             yield k
             if self.truncated:
                 continue
-            for i, nxt in self.steps(*state, via[k]):  # the move back to the parent is never new
-                if nxt in seen:
+            for i, nbrs in self.tries[via[k] + 1]:
+                if not (w := state[i]):
+                    continue
+                nxt = list(state)
+                nxt[i], d = -w, -state[n + i]
+                for j, m in nbrs:
+                    nxt[j] += m * w
+                    d += m * state[n + j]
+                nxt[n + i] = d
+                if (nxt := tuple(nxt)) in seen:
                     continue
                 if len(seen) >= self.budget:
                     self.truncated = True
@@ -172,11 +180,8 @@ def normalize_pair(q: Quiver, pair: PairState, budget: int = 100_000) -> Normali
     """
     search = _OrbitSearch(q, pair, budget)
     if budget <= 0:
-        raise BudgetExhausted(
-            "budget of 0 states cannot explore anything",
-            NormalizedPair(search.start, (), False),
-        )
-    best = min(search, key=lambda k: (sum(search.states[k][1]), search.states[k][1]))
+        raise BudgetExhausted("budget of 0 states cannot explore anything", NormalizedPair(search.start, (), False))
+    best = min(search, key=lambda k: (sum(dim := search.states[k][search.n:]), dim))
     return NormalizedPair(search.pair(search.states[best]), search.sequence(best), not search.truncated)
 
 
@@ -191,7 +196,7 @@ def fundamental_representative(
     """
     search = _OrbitSearch(q, pair, budget)
     for k in search:
-        if _in_fundamental(q, search.states[k][1]):
+        if _in_fundamental(q, search.states[k][search.n:]):
             return search.pair(search.states[k]), search.sequence(k)
     return None
 
@@ -202,15 +207,18 @@ def descend(q: Quiver, pair: PairState) -> tuple[PairState, tuple[str, ...]]:
     Stops early at a negative entry; each step lowers the total, so it ends.
     """
     pairs = _IntegerPairs(q, pair)
-    (weight, dim), seq = pairs.root, []
-    while min(dim, default=0) >= 0:
-        down = next(((i, row, c) for i, row in pairs.moves if weight[i] and (c := sum(map(mul, row, dim))) > 0), None)
-        if down is None:
+    state, n, seq = list(pairs.root), pairs.n, []
+    while min(state[n:], default=0) >= 0:
+        for i, nbrs in pairs.moves:
+            if (w := state[i]) and (c := 2 * state[n + i] - sum(m * state[n + j] for j, m in nbrs)) > 0:
+                break
+        else:
             break
-        i, row, c = down
         seq.append(pairs.vertices[i])
-        weight, dim = tuple([x - r * weight[i] for x, r in zip(weight, row)]), dim[:i] + (dim[i] - c,) + dim[i + 1:]
-    return (pairs.pair((weight, dim)) if seq else pairs.start), tuple(seq)
+        state[i], state[n + i] = -w, state[n + i] - c
+        for j, m in nbrs:
+            state[j] += m * w
+    return (pairs.pair(tuple(state)) if seq else pairs.start), tuple(seq)
 
 
 def strip_simple(q: Quiver, pair: PairState) -> tuple[str, PairState] | None:

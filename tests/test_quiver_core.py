@@ -210,3 +210,17 @@ def test_rationals_beyond_the_digit_limit_are_refused_while_parsing():
     for token in (f"1e{limit}", f"1e-{limit}", "1e" + "9" * (limit + 1), "9" * (limit + 1), "0." + "0" * limit + "1"):
         with pytest.raises(ValueError, match="not a rational"):
             parse_rational(token)
+
+
+def test_library_weights_beyond_the_digit_limit_are_refused_while_parsing():
+    import time
+
+    kronecker = qd.extended_dynkin_quiver("A1")
+    for build, entries in ((qd.LambdaContext, ["1e-5000", "-1e-5000"]), (qd.weight_vector, ["1e-1000000", 0])):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"not a rational: '{entries[0]}'"):
+            build(kronecker, entries)
+        assert time.perf_counter() - start < 0.1
+    assert qd.weight_vector(kronecker, ["1/3", "1.5"]) == (Fraction(1, 3), Fraction(3, 2))
+    assert qd.weight_vector(kronecker, ["1e3", Fraction(2, 4)]) == (1000, Fraction(1, 2))
+    assert qd.weight_vector(kronecker, [0.5, 2]) == (Fraction(1, 2), 2)  # other entry types as Fraction reads them

@@ -411,3 +411,59 @@ def test_sequences_rebuilt_from_parent_links_replay_at_depth(pair):
         assert qd.apply_sequence(EX4, pair, seq)[0] == end
     if found:
         assert found[0].dim == (0, 1, 1, 1) and len(found[1]) == 13
+
+
+# -- the pruned search on quivers with many commuting pairs of moves -----------
+
+# a star with five arms of length two: moves on different arms commute, and so do the centre's and the arm tips'
+STAR5 = qd.Quiver(["c"] + [f"{a}{k}" for a in "abcde" for k in (1, 2)],
+                  [["c", f"{a}1"] for a in "abcde"] + [[f"{a}1", f"{a}2"] for a in "abcde"])
+PRUNING_BUDGET = 200
+
+
+def _random_multiquiver(rng):
+    n = rng.randint(4, 7)
+    names = [f"v{i}" for i in range(n)]
+    arrows = [[names[i], names[i + 1]] for i in range(n - 1)]  # a path keeps it connected
+    for _ in range(rng.randint(0, n)):
+        tail, head = rng.sample(names, 2)
+        arrows += [[tail, head]] * rng.choice((1, 1, 2))  # parallel arrows
+    arrows += [[v, v] for v in rng.sample(names, rng.randint(0, 2))]  # loops
+    return qd.Quiver(names, arrows)
+
+
+def _pruning_cases():
+    rng = random.Random(19)
+    quivers = 2 * [qd.extended_dynkin_quiver("A5"), qd.extended_dynkin_quiver("D6"), STAR5]
+    quivers += [_random_multiquiver(rng) for _ in range(12)]
+    cases = []
+    for q in quivers:
+        weight = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(q.n)]
+        dim = [rng.randint(0, 3) for _ in range(q.n)]
+        cases.append((q, qd.make_pair(q, weight, dim)))
+    return cases
+
+
+def _commuting_pairs(q):
+    """Pairs of loopfree vertices joined by no edge: the moves the search prunes."""
+    free = [i for i, v in enumerate(q.vertices) if q.is_loopfree(v)]
+    return sum(1 for j in free for i in free if j < i and not q.cartan_matrix()[i][j])
+
+
+@pytest.mark.parametrize("case", range(len(_pruning_cases())))
+def test_pruned_search_matches_the_fraction_path_at_every_budget(case):
+    q, pair = _pruning_cases()[case]
+    admitted, exhaustive = _reference_orbit(q, pair, PRUNING_BUDGET)
+    search = _OrbitSearch(q, pair, PRUNING_BUDGET)
+    assert [(search.pair(search.states[k]), search.sequence(k)) for k in search] == admitted
+    assert search.truncated is not exhaustive
+    _check_against_fraction_path(q, pair, range(1, PRUNING_BUDGET + 1))
+
+
+def test_pruning_cases_reach_deep_and_wide():
+    cases = _pruning_cases()
+    assert sum(_commuting_pairs(q) for q, _ in cases) >= 100
+    assert any(len(set(q.arrows)) < len(q.arrows) for q, _ in cases)  # parallel arrows
+    assert any(not q.is_loopfree(v) for q, _ in cases for v in q.vertices)
+    sizes = [len(_reference_orbit(q, pair, PRUNING_BUDGET)[0]) for q, pair in cases]
+    assert sum(size == PRUNING_BUDGET for size in sizes) >= len(cases) // 2  # most classes outgrow the budget
