@@ -26,8 +26,7 @@ from .quiver_core import (
     weight_entry_to_json,
     weight_to_json_list,
 )
-from .reflection_walk import PairState, descend
-from .root_system import _CLASS_BY_P, RootClass, _affine_label, _in_fundamental, simple_reflection
+from .root_system import _CLASS_BY_P, RootClass, _affine_label, _descent, _in_fundamental, simple_reflection
 
 
 class Term(NamedTuple):
@@ -183,10 +182,10 @@ def kleinian_label(ctx: LambdaContext, sigma: Sequence[int]) -> str | None:
     rules out Dynkin S, and semidefinite S has C_S d = 0.
     """
     sigma = dim_vector(ctx.quiver, sigma)
-    state, seq = descend(ctx.quiver, PairState(ctx.weight, sigma))
-    if len(seq) >= ctx.caps.max_states:
+    end = list(sigma)
+    if len(_descent(ctx.quiver, end, list(ctx._scaled))) >= ctx.caps.max_states:
         return None
-    d = state.dim
+    d = tuple(end)
     if not _in_fundamental(ctx.quiver, d):
         raise NotIsotropicSigma(f"descent of {sigma!r} ends outside the fundamental region")
     cartan, supp = ctx.quiver.cartan_matrix(), [i for i, x in enumerate(d) if x]

@@ -26,7 +26,7 @@ from .quiver_core import (
     weight_to_json_list,
     weight_vector,
 )
-from .root_system import _in_fundamental, simple_reflection
+from .root_system import _descent, _in_fundamental, simple_reflection
 
 
 class PairState(NamedTuple):
@@ -95,21 +95,8 @@ def _integer_weight(lam: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return scale, tuple(x.numerator * (scale // x.denominator) for x in lam)
 
 
-class _IntegerPairs:
-    """A pair as one flat state, L * weight then dim: admissibility and reflection are linear in the weight."""
-
-    def __init__(self, q: Quiver, pair: PairState):
-        self.start = make_pair(q, pair.weight, pair.dim)
-        self.scale, weight = _integer_weight(self.start.weight)
-        self.root = weight + self.start.dim
-        self.vertices, self.n, self.moves = q.vertices, q.n, q._moves
-
-    def pair(self, state: tuple[int, ...]) -> PairState:
-        return PairState(tuple(Fraction(x, self.scale) for x in state[:self.n]), state[self.n:])
-
-
-class _OrbitSearch(_IntegerPairs):
-    """Breadth-first search of the admissible class of a pair.
+class _OrbitSearch:
+    """Breadth-first search of the admissible class of a pair, on flat states L * weight then dim.
 
     Admits at most ``budget`` states, the start included, with exact-state
     deduplication, and hands out their indices into ``states`` in BFS order;
@@ -125,12 +112,17 @@ class _OrbitSearch(_IntegerPairs):
     """
 
     def __init__(self, q: Quiver, pair: PairState, budget: int):
-        super().__init__(q, pair)
+        self.start = make_pair(q, pair.weight, pair.dim)
+        self.scale, weight = _integer_weight(self.start.weight)  # both moves are linear in the weight
+        self.vertices, self.n = q.vertices, q.n
         self.budget, self.truncated = budget, budget <= 0
-        self.states = [] if self.truncated else [self.root]
+        self.states = [] if self.truncated else [weight + self.start.dim]
         self.parent, self.via = [-1], [-1]
-        self.tries = [[move for move in self.moves if (j := move[0]) > i or j != i and q.cartan_matrix()[i][j]]
+        self.tries = [[move for move in q._moves if (j := move[0]) > i or j != i and q.cartan_matrix()[i][j]]
                       for i in range(-1, self.n)]
+
+    def pair(self, state: tuple[int, ...]) -> PairState:
+        return PairState(tuple(Fraction(x, self.scale) for x in state[:self.n]), state[self.n:])
 
     def __iter__(self) -> Iterator[int]:
         states, parent, via, n = self.states, self.parent, self.via, self.n
@@ -204,21 +196,14 @@ def fundamental_representative(
 def descend(q: Quiver, pair: PairState) -> tuple[PairState, tuple[str, ...]]:
     """Reflect at the first admissible vertex pairing positively until none is left.
 
-    Stops early at a negative entry; each step lowers the total, so it ends.
+    Stops early at a negative entry; each step lowers the total, so it ends (``root_system._descent``).
     """
-    pairs = _IntegerPairs(q, pair)
-    state, n, seq = list(pairs.root), pairs.n, []
-    while min(state[n:], default=0) >= 0:
-        for i, nbrs in pairs.moves:
-            if (w := state[i]) and (c := 2 * state[n + i] - sum(m * state[n + j] for j, m in nbrs)) > 0:
-                break
-        else:
-            break
-        seq.append(pairs.vertices[i])
-        state[i], state[n + i] = -w, state[n + i] - c
-        for j, m in nbrs:
-            state[j] += m * w
-    return (pairs.pair(tuple(state)) if seq else pairs.start), tuple(seq)
+    start = make_pair(q, pair.weight, pair.dim)
+    scale, weight = _integer_weight(start.weight)
+    weight, dim = list(weight), list(start.dim)
+    if not (steps := _descent(q, dim, weight)):
+        return start, ()
+    return PairState(tuple(Fraction(x, scale) for x in weight), tuple(dim)), tuple(q.vertices[i] for i in steps)
 
 
 def strip_simple(q: Quiver, pair: PairState) -> tuple[str, PairState] | None:

@@ -1,10 +1,10 @@
 """Kac root classification, positive-root enumeration, and shape recognition.
 
-Roots are classified by iterative reflection descent: repeatedly reflect a
-positive vector down at a loopfree vertex pairing positively with it. The
-descent ends at a coordinate vector (real root), inside the fundamental
-region (imaginary root), or leaves the positive orthant (not a root). A
-box's roots run it upwards from the simple roots and the fundamental region,
+One engine, ``_descent``, steps a vector down at the first loopfree vertex
+pairing positively until none is left or an entry is negative: Kac's descent,
+ending in the fundamental region (imaginary root), at -e_i from e_i (real) or
+elsewhere off the orthant (no root), or, gated by a weight, admissible descent.
+A box's roots run it upwards from the simple roots and the fundamental region,
 searched one coordinate interval at a time, carrying their pairings.
 Everything is exact integer arithmetic, bounded by Caps.
 """
@@ -74,13 +74,13 @@ _CLASS_BY_P = RootClass.REAL, RootClass.ISOTROPIC_IMAGINARY, RootClass.NONISOTRO
 
 
 def classify_root(q: Quiver, a: Sequence[int]) -> RootClass:
-    """Classify a vector by Kac's reflection descent on the loopfree Cartan rows.
+    """Classify a vector by Kac's reflection descent (``_descent`` with no weight).
 
     Accepts a nonzero vector with all entries >= 0 or all <= 0 (a negative
     vector is classified through its absolute value); mixed signs are never
-    roots. Descent picks the lowest-indexed loopfree vertex pairing positively,
-    so runs are reproducible. A vector that stops is a root when its support
-    is connected, of the class its p names.
+    roots. Only a coordinate vector e_i descends out of the orthant, to -e_i:
+    it is real. A vector that stops is a root when its support is connected,
+    of the class its p names.
     """
     a = dim_vector(q, a)
     if all(e == 0 for e in a):
@@ -89,18 +89,35 @@ def classify_root(q: Quiver, a: Sequence[int]) -> RootClass:
         a = tuple(-e for e in a)
     if any(e < 0 for e in a):
         return RootClass.NOT_ROOT
-    rows = [(i, row) for i, row in enumerate(q.cartan_matrix()) if q.is_loopfree(q.vertices[i])]
-    while down := next(((i, c) for i, row in rows if (c := sum(map(mul, row, a))) > 0), None):
-        i, c = down
-        if a[i] < c:  # the step leaves the orthant; a coordinate vector pairs positively only at its own vertex
-            return RootClass.REAL if sum(a) == 1 else RootClass.NOT_ROOT
-        a = a[:i] + (a[i] - c,) + a[i + 1:]
+    end = list(a)
+    _descent(q, end)
+    if min(end) < 0:
+        return RootClass.REAL if sum(end) == min(end) == -1 else RootClass.NOT_ROOT
+    a = tuple(end)
     if not has_connected_support(q, a):
         return RootClass.NOT_ROOT
     p = p_form(q, a)
     if p < 1:
         raise InternalInconsistency(f"vector {a!r} stuck in descent with p={p}; the fundamental region has p >= 1")
     return _CLASS_BY_P[min(p, 2)]
+
+
+def _descent(q: Quiver, dim: list[int], weight: list[int] | None = None) -> list[int]:
+    """Kac's descent of ``dim`` in place, admissible for an integer ``weight`` reflected along; the i stepped at."""
+    steps = []
+    while min(dim, default=0) >= 0:
+        for i, nbrs in q._moves:
+            if (weight is None or weight[i]) and (c := 2 * dim[i] - sum(m * dim[j] for j, m in nbrs)) > 0:
+                break
+        else:
+            break
+        steps.append(i)
+        dim[i] -= c
+        if weight is not None:
+            w, weight[i] = weight[i], -weight[i]
+            for j, m in nbrs:
+                weight[j] += m * w
+    return steps
 
 
 def iter_box(bound: Sequence[int]):

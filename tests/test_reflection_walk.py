@@ -460,6 +460,41 @@ def test_pruned_search_matches_the_fraction_path_at_every_budget(case):
     _check_against_fraction_path(q, pair, range(1, PRUNING_BUDGET + 1))
 
 
+def _descent_cases(seed, count=40):
+    """Random quivers with loops and parallel arrows, at weights with zero entries and dimensions up to 6."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(count):
+        q = _random_multiquiver(rng)
+        weight = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(q.n)]
+        for i in rng.sample(range(q.n), rng.randint(1, q.n // 2)):
+            weight[i] = Fraction(0)
+        cases.append((q, qd.make_pair(q, weight, [rng.randint(0, 6) for _ in range(q.n)])))
+    return cases
+
+
+def _blocked_by_the_weight(q, pair):
+    """A zero-weight loopfree vertex pairing positively: Kac's descent could step there, admissible descent not."""
+    return any(w == 0 and q.is_loopfree(v) and qd.bilinear_form(q, pair.dim, qd.coordinate_vector(q, v)) > 0
+               for v, w in zip(q.vertices, pair.weight))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_descent_matches_the_fraction_path_on_random_multiquivers(seed):
+    cases = _descent_cases(50 + seed)
+    assert any(not q.is_loopfree(v) for q, _ in cases for v in q.vertices)
+    assert any(len(set(q.arrows)) < len(q.arrows) for q, _ in cases)
+    assert sum(_blocked_by_the_weight(q, pair) for q, pair in cases) >= 10
+    ends = []
+    for q, pair in cases:
+        state, seq = qd.descend(q, pair)
+        assert (state, seq) == _reference_descend(q, pair), pair
+        assert all(isinstance(x, Fraction) for x in state.weight)
+        ends.append((len(seq), min(state.dim) < 0))
+    assert max(ends)[0] >= 3 and sum(1 for steps, _ in ends if steps) >= len(cases) // 2
+    assert {negative for _, negative in ends} == {True, False}
+
+
 def test_pruning_cases_reach_deep_and_wide():
     cases = _pruning_cases()
     assert sum(_commuting_pairs(q) for q, _ in cases) >= 100

@@ -34,6 +34,14 @@ def test_classify_edge_cases():
     assert qd.classify_root(JORDAN, (5,)) is RootClass.ISOTROPIC_IMAGINARY
     two_loops = qd.Quiver(["0"], [["0", "0"], ["0", "0"]])
     assert qd.classify_root(two_loops, (1,)) is RootClass.NONISOTROPIC_IMAGINARY
+    # descent leaves the orthant at -e_i exactly from a coordinate vector e_i, also with no neighbour
+    point = qd.Quiver(["1"], [])
+    assert qd.classify_root(point, (1,)) is RootClass.REAL
+    assert qd.classify_root(point, (-1,)) is RootClass.REAL
+    assert qd.classify_root(point, (2,)) is RootClass.NOT_ROOT
+    assert qd.classify_root(K3, (1, 0)) is RootClass.REAL
+    ex4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
+    assert qd.classify_root(ex4, (0, 0, 1, 0)) is RootClass.REAL
 
 
 def test_simple_reflection_examples():
