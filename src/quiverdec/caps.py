@@ -1,8 +1,8 @@
-"""Resource caps for the enumeration and search routines.
+"""Resource caps for the componentwise box enumerations.
 
-Every brute-force sweep in the package is bounded by a :class:`Caps`
-instance so that a typo in a dimension vector fails fast instead of
-grinding through an astronomical box.
+Every enumerated box is first checked against a :class:`Caps`, so a typo in
+a dimension vector fails fast instead of grinding through an astronomical
+box. Orbit searches take their own ``budget``; descents are not capped.
 """
 
 from __future__ import annotations
@@ -15,16 +15,14 @@ from .errors import InvalidCaps, ResourceLimit
 
 ENV_MAX_BOX = "QUIVERDEC_MAX_BOX"
 ENV_MAX_SUM = "QUIVERDEC_MAX_SUM"
-ENV_MAX_STATES = "QUIVERDEC_MAX_STATES"
 
 
 @dataclass(frozen=True)
 class Caps:
-    """Limits for box enumerations and pair-orbit searches."""
+    """Limits on the bound sum and the volume of an enumerated box."""
 
     max_box_volume: int = 2_000_000
     max_bound_sum: int = 24
-    max_states: int = 100_000
 
     def __post_init__(self):
         for field in fields(self):
@@ -39,7 +37,6 @@ class Caps:
         for env, field in (
             (ENV_MAX_BOX, "max_box_volume"),
             (ENV_MAX_SUM, "max_bound_sum"),
-            (ENV_MAX_STATES, "max_states"),
         ):
             raw = os.environ.get(env)
             if raw is not None:

@@ -76,7 +76,7 @@ def _format_pair(state) -> str:
 
 
 def _caps_from_args(args) -> Caps:
-    flags = {"max_box_volume": args.max_box, "max_bound_sum": args.max_sum, "max_states": args.max_states}
+    flags = {"max_box_volume": args.max_box, "max_bound_sum": args.max_sum}
     return replace(Caps.from_env(), **{k: v for k, v in flags.items() if v is not None})
 
 
@@ -228,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--max-box", type=int, default=None, help="override the box volume cap")
         p.add_argument("--max-sum", type=int, default=None, help="override the box entry-sum cap")
-        p.add_argument("--max-states", type=int, default=None, help="override the search state cap")
 
     p = sub.add_parser("classify", help="classify a dimension vector, or the quiver shape")
     common(p)

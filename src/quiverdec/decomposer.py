@@ -127,9 +127,9 @@ class Factor:
     """How one term of the decomposition contributes to the product.
 
     ``kind`` is "Point" for real terms, "Kleinian" for isotropic ones
-    (with the ADE type in ``label`` unless the descent path exceeds
-    ``caps.max_states``), and "NonIsotropicBlock" otherwise. The dimension
-    contribution is ``2 * multiplicity * p``.
+    (with the ADE type in ``label``), and "NonIsotropicBlock" otherwise;
+    ``label`` is None for the other two kinds. The dimension contribution
+    is ``2 * multiplicity * p``.
     """
 
     sigma: DimVector
@@ -141,7 +141,7 @@ class Factor:
 
     def describe(self) -> str:
         if self.kind == "Kleinian":
-            return f"Kleinian({self.label or '?'})"
+            return f"Kleinian({self.label})"
         return self.kind
 
 
@@ -167,14 +167,15 @@ class ProductReport:
         }
 
 
-def kleinian_label(ctx: LambdaContext, sigma: Sequence[int]) -> str | None:
+def kleinian_label(ctx: LambdaContext, sigma: Sequence[int]) -> str:
     """ADE type of the Kleinian factor attached to an isotropic Sigma member.
 
     A zero-weight loopfree vertex pairing positively with a Sigma member would
     split off its coordinate vector at no loss of p, so admissible descent
     ends in the fundamental region, at the delta of an extended Dynkin
-    support. None when the path has more than ``caps.max_states`` states;
-    NotIsotropicSigma when its end shows ``sigma`` is no isotropic Sigma member.
+    support. The descent is not capped: its length grows with the entries of
+    ``sigma``. NotIsotropicSigma when its end shows ``sigma`` is no isotropic
+    Sigma member.
 
     The end d is judged by the Cartan rows C_S on its support S: by Vinberg's trichotomy
     (Kac, Infinite-Dimensional Lie Algebras, Thm 4.3), a d > 0 with C_S d = 0 makes S extended
@@ -183,8 +184,7 @@ def kleinian_label(ctx: LambdaContext, sigma: Sequence[int]) -> str | None:
     """
     sigma = dim_vector(ctx.quiver, sigma)
     end = list(sigma)
-    if len(_descent(ctx.quiver, end, list(ctx._scaled))) >= ctx.caps.max_states:
-        return None
+    _descent(ctx.quiver, end, list(ctx._scaled))
     d = tuple(end)
     if not _in_fundamental(ctx.quiver, d):
         raise NotIsotropicSigma(f"descent of {sigma!r} ends outside the fundamental region")
@@ -212,9 +212,9 @@ def product_structure_report(ctx: LambdaContext, a: Sequence[int]) -> ProductRep
     """Classify every factor and render the product formula.
 
     Real terms contribute points and are rendered once as a trailing
-    "point"; isotropic terms come with symmetric powers and an ADE label
-    (None past ``caps.max_states`` descent states); non-isotropic terms are
-    single unsymmetrized blocks. The empty decomposition renders "point".
+    "point"; isotropic terms come with symmetric powers and an ADE label;
+    non-isotropic terms are single unsymmetrized blocks. The empty
+    decomposition renders "point".
     """
     decomposition = canonical_decompose(ctx, a)
     lam_str = _format_weight(ctx.weight)

@@ -219,15 +219,14 @@ def test_sum_cap_from_environment(capsys, monkeypatch):
     assert run(capsys, *argv, "--max-sum", "1200") == from_env
 
 
-@pytest.mark.parametrize("flag, field", [("--max-box", "max_box_volume"), ("--max-sum", "max_bound_sum"),
-                                         ("--max-states", "max_states")])
+@pytest.mark.parametrize("flag, field", [("--max-box", "max_box_volume"), ("--max-sum", "max_bound_sum")])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_nonpositive_cap_flags_are_usage_errors(capsys, flag, field, value):
     rc, out, err = run(capsys, "decompose", "--quiver", JORDAN, "--lambda", "0", "--alpha", "1", f"{flag}={value}")
     assert (rc, out) == (2, "") and f"{field} must be a positive integer" in err
 
 
-@pytest.mark.parametrize("env", ["QUIVERDEC_MAX_BOX", "QUIVERDEC_MAX_SUM", "QUIVERDEC_MAX_STATES"])
+@pytest.mark.parametrize("env", ["QUIVERDEC_MAX_BOX", "QUIVERDEC_MAX_SUM"])
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5", "", pytest.param("9" * 5000, id="5000-nines")])
 def test_bad_cap_values_are_usage_errors(capsys, monkeypatch, env, value):
     monkeypatch.setenv(env, value)
@@ -237,7 +236,7 @@ def test_bad_cap_values_are_usage_errors(capsys, monkeypatch, env, value):
 
 
 def test_caps_reject_nonpositive_limits(capsys):
-    for field in ("max_box_volume", "max_bound_sum", "max_states"):
+    for field in ("max_box_volume", "max_bound_sum"):
         for value in (0, -1, True, False, 2.0):
             with pytest.raises(qd.InvalidCaps, match=field):
                 qd.Caps(**{field: value})

@@ -129,22 +129,19 @@ def test_kleinian_label_needs_normalization():
     assert qd.kleinian_label(ctx, (1, 1, 1, 1)) == "A2"
 
 
-def test_kleinian_label_budget_fallback():
-    # with no room to search, the factor is reported without a label
-    from quiverdec.caps import Caps
-
-    ctx = qd.LambdaContext(EX4, (1, -1, 1, -1), Caps(max_states=1))
-    assert qd.kleinian_label(ctx, (1, 1, 1, 1)) is None
-    report = qd.product_structure_report(ctx, (1, 1, 1, 1))
-    assert report.factors[0].describe() == "Kleinian(?)"
-    assert report.to_json_dict()["terms"][0]["factor"] == "Kleinian(?)"
+def test_kleinian_label_follows_a_descent_of_any_length():
+    # (1,1,1) on the Kronecker pair with a leaf, raised by (s_a s_b)^50000: the label's
+    # descent takes 100,001 steps down to the Kronecker delta (1,1,0), and the factor gets its type
+    q = qd.Quiver(["a", "b", "c"], [["a", "b"], ["a", "b"], ["c", "a"]])
+    ctx = qd.LambdaContext(q, (1, 1, -5000050002))
+    report = qd.product_structure_report(ctx, (2500000001, 2500050001, 1))
+    assert [f.describe() for f in report.factors] == ["Kleinian(A1)"]
 
 
-def test_kleinian_label_budget_counts_the_descent_path():
-    # one reflection: a path of two states, the start included
+def test_kleinian_label_after_one_reflection():
     lam = (1, -1, 1, -1)
     assert qd.descend(EX4, qd.make_pair(EX4, lam, (1, 1, 1, 1)))[1] == ("1",)
-    assert qd.kleinian_label(qd.LambdaContext(EX4, lam, qd.Caps(max_states=2)), (1, 1, 1, 1)) == "A2"
+    assert qd.kleinian_label(qd.LambdaContext(EX4, lam), (1, 1, 1, 1)) == "A2"
 
 
 def test_kleinian_label_rejects_a_descent_stuck_at_a_zero_weight():

@@ -170,7 +170,7 @@ def test_decomposition_equivariant_through_the_reduced_path(case, picks):
 # (path, vertex count) of each bundled fixture
 _FIXTURES = [(qd.fixture_path(name), qd.load_fixture(name).n)
              for name in ("a2.json", "ex4.json", "jordan.json", "kronecker.json")]
-_CAP_ENV = ("QUIVERDEC_MAX_BOX", "QUIVERDEC_MAX_SUM", "QUIVERDEC_MAX_STATES")
+_CAP_ENV = ("QUIVERDEC_MAX_BOX", "QUIVERDEC_MAX_SUM")
 _JUNK = ["", " ", "x", "1/0", "1/2", "-1/3", "1.5", "1e3", "0x1", "+2", "--json"]
 # cap values stay at or below the defaults: a raised cap would let a huge box be enumerated
 _cap_values = st.one_of(st.integers(1, 24).map(str), st.integers(1, 24).map(str),
@@ -228,7 +228,7 @@ def _invocation(draw):
         "decompose-zero": ["decompose", "--lambda", zero, "--alpha", huge],
         "reflect": ["reflect", "--lambda", weight, "--alpha", vector, "--seq", _csv(draw, _entry, 3)],
     }[command]
-    flags = draw(st.sampled_from([[], [], ["--json"], ["--max-box", "0"], ["--max-states", "x"], ["--max-box", "5"]]))
+    flags = draw(st.sampled_from([[], [], ["--json"], ["--max-box", "0"], ["--max-sum", "x"], ["--max-box", "5"]]))
     return [argv[0], "--quiver", path, *argv[1:], *flags], text
 
 
