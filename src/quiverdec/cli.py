@@ -271,10 +271,10 @@ _VECTOR_FLAGS = ("--lambda", "--alpha", "--bound")
 
 
 def _glue_vector_values(argv) -> list[str]:
-    """Write ``--lambda -1,1`` as ``--lambda=-1,1``: argparse reads ``-1,1`` as a flag."""
+    """Write ``--lambda -1,1`` as ``--lambda=-1,1``: argparse reads ``-1,1`` or ``-.5,.5`` as a flag."""
     out: list[str] = []
     for tok in argv:
-        if out and out[-1] in _VECTOR_FLAGS and tok[:1] == "-" and tok[1:2].isdigit():
+        if out and out[-1] in _VECTOR_FLAGS and tok[:1] == "-" and (tok[1:2].isdigit() or tok[1:2] == "."):
             out[-1] += "=" + tok
         else:
             out.append(tok)

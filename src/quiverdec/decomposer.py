@@ -64,7 +64,7 @@ def _maximal_sigma_multiset(ctx: LambdaContext, a: DimVector):
     table = ctx._table("sigma")
     if table[a] is None:
         raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots")
-    return table[a], table.count[table.index(a)], table.witness(a)
+    return table[a], table.count(a), table.witness(a)
 
 
 def sigma_maximizer_count(ctx: LambdaContext, a: Sequence[int]) -> int:
@@ -222,8 +222,7 @@ def product_structure_report(ctx: LambdaContext, a: Sequence[int]) -> ProductRep
     for term in decomposition.terms:
         kind = _FACTOR_KINDS[term.root_class]
         label = kleinian_label(ctx, term.sigma) if kind == "Kleinian" else None
-        power = 1 if kind == "NonIsotropicBlock" else term.multiplicity
-        factors.append(Factor(term.sigma, term.multiplicity, kind, label, power,
+        factors.append(Factor(term.sigma, term.multiplicity, kind, label, term.multiplicity,
                               2 * term.multiplicity * term.p_value))
         if kind != "Point":
             power_str = f"S^{term.multiplicity} " if term.multiplicity > 1 else ""

@@ -18,7 +18,7 @@ filled bottom-up.
 from __future__ import annotations
 
 from math import prod
-from operator import mul, sub
+from operator import mul
 from typing import Collection, Iterable, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
@@ -42,39 +42,44 @@ def _below(a: Sequence[int], b: Sequence[int]) -> bool:
 class BoxTable:
     """Best p-sum over multisets of the added items, for each vector of a box.
 
-    ``table[a]`` is None when no multiset sums to ``a``; ``count`` holds, by
-    mixed-radix index, how many attain the best; ``items`` maps each added
-    item to its p. Adding an item is one unbounded-knapsack pass, so each
-    multiset is counted once. The p = 0 coordinate vectors at ``seeds`` start
-    added, with no ``items`` entry: a vector on their support is one multiset.
-    Cells are numbered ascending lex: ``strides`` are the box's mixed-radix place values.
-    Seeds go down in blocks, last coordinate first: a seeded one repeats the block after it.
+    Read by cell only: ``table[a]`` is the best, None when no multiset sums to ``a``;
+    ``count(a)`` how many attain it; ``witness(a)`` one that does. ``items`` maps each added
+    item to its p, ``splits`` to the best its cell held just before it joined. How cells are
+    numbered and stored is private. Adding an item is one unbounded-knapsack pass, so each
+    multiset is counted once. The p = 0 coordinate vectors at ``seeds`` start added, with no
+    ``items`` entry: a vector on their support is one multiset. Cells go ascending lex, and
+    seeds go down in blocks, last coordinate first: a seeded one repeats the block after it.
     """
 
     def __init__(self, bound: DimVector, seeds: Collection[int] = ()):
         self.bound = bound
-        self.strides = tuple(prod(b + 1 for b in bound[i + 1:]) for i in range(len(bound)))
-        self.best: list[int | None] = [0]
-        self.count = [1]
+        self._strides = tuple(prod(b + 1 for b in bound[i + 1:]) for i in range(len(bound)))
+        self._best: list[int | None] = [0]
+        self._count = [1]
         for i in reversed(range(len(bound))):
             if i in seeds:
-                self.best, self.count = self.best * (bound[i] + 1), self.count * (bound[i] + 1)
+                self._best, self._count = self._best * (bound[i] + 1), self._count * (bound[i] + 1)
             else:
-                self.best += [None] * (len(self.best) * bound[i])
-                self.count += [0] * (len(self.count) * bound[i])
+                self._best += [None] * (len(self._best) * bound[i])
+                self._count += [0] * (len(self._count) * bound[i])
         self.items: dict[DimVector, int] = {}
+        self.splits: dict[DimVector, int | None] = {}
 
-    def index(self, a: Sequence[int]) -> int:
-        return sum(map(mul, a, self.strides))
+    def _index(self, a: Sequence[int]) -> int:
+        return sum(map(mul, a, self._strides))
 
     def __getitem__(self, a: Sequence[int]) -> int | None:
-        return self.best[self.index(a)]
+        return self._best[self._index(a)]
+
+    def count(self, a: Sequence[int]) -> int:
+        return self._count[self._index(a)]
 
     def add(self, item: DimVector, p: int) -> None:
+        best, count, shift = self._best, self._count, self._index(item)
         self.items[item] = p
-        best, count, shift = self.best, self.count, self.index(item)
+        self.splits[item] = best[shift]
         rows = [0]  # first indices of the rows of vectors below bound - item, ascending
-        for b, x, stride in zip(self.bound[:-1], item, self.strides):
+        for b, x, stride in zip(self.bound[:-1], item, self._strides):
             rows = [o + k * stride for o in rows for k in range(b - x + 1)]
         width = self.bound[-1] - item[-1] + 1
         for row in rows:
@@ -244,17 +249,15 @@ def norm_lambda(ctx: LambdaContext, a: Sequence[int]) -> int:
 def max_proper_sum_p(ctx: LambdaContext, a: Sequence[int]) -> int | None:
     """Max p-sum over decompositions of ``a`` with at least two parts.
 
-    None when no such decomposition exists, e.g. for coordinate vectors; else the best,
-    over the resolved Sigma table's items b other than ``a``, of p_b plus the table at a - b.
+    None when there is none, e.g. for coordinate vectors. Read off the resolved Sigma table: a
+    member's split, recorded as it joined after every member below it; else the cell of ``a``.
     """
     try:
         ctx, a, _ = ctx.resolve(a)
     except NotInNRLambdaPlus:
         return None
     table = ctx._table("sigma")
-    splits = (p + rest for b, p in table.items.items()
-              if b != a and _below(b, a) and (rest := table[tuple(map(sub, a, b))]) is not None)
-    return max(splits, default=None)
+    return table.splits.get(a) if a in table.items or not any(a) else table[a]
 
 
 def in_sigma_lambda(ctx: LambdaContext, a: Sequence[int]) -> bool:

@@ -201,8 +201,7 @@ def descend(q: Quiver, pair: PairState) -> tuple[PairState, tuple[str, ...]]:
     start = make_pair(q, pair.weight, pair.dim)
     scale, weight = _integer_weight(start.weight)
     weight, dim = list(weight), list(start.dim)
-    if not (steps := _descent(q, dim, weight)):
-        return start, ()
+    steps = _descent(q, dim, weight)
     return PairState(tuple(Fraction(x, scale) for x in weight), tuple(dim)), tuple(q.vertices[i] for i in steps)
 
 

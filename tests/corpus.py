@@ -4,7 +4,7 @@ Instances are (name, quiver, weight, alpha) with alpha a member of the
 additive closure for that weight, total entry sum at most 8, spanning
 Dynkin, extended Dynkin, and wild quivers. Weights mix zero, the
 added-vertex example's weight, and seeded random small rationals
-orthogonal to alpha.
+orthogonal to alpha. ``table_cells`` reads a classified box's table cell by cell.
 """
 
 from __future__ import annotations
@@ -29,6 +29,11 @@ QUIVERS = [
 ]
 
 MAX_ALPHA_SUM = 8
+
+
+def table_cells(table):
+    """(best, count) at every cell of the table's box, the zero cell included, ascending lex."""
+    return [(table[a], table.count(a)) for a in itertools.product(*(range(b + 1) for b in table.bound))]
 
 
 def _box_alphas(q, per_entry, cap=None):

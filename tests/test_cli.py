@@ -139,10 +139,11 @@ def test_weights_beyond_the_digit_limit_are_refused(capsys, tail):
     ("roots", "--quiver", KRONECKER, "--bound", "-1,2"),
     ("classify", "--quiver", KRONECKER, "--alpha", "-1,0"),
     ("sigma", "--quiver", EX4, "--lambda", "-1,1,0,0", "--alpha", "1,1,0,0"),
+    ("decompose", "--quiver", KRONECKER, "--lambda", "-.5,.5", "--alpha", "1,1"),
 ])
 def test_negative_vector_values(capsys, argv):
     glued = list(argv)
-    i = next(i for i, tok in enumerate(glued) if tok[:1] == "-" and tok[1:2].isdigit())
+    i = next(i for i, tok in enumerate(glued) if tok[:1] == "-" and (tok[1:2].isdigit() or tok[1:2] == "."))
     glued[i - 1:i + 1] = [f"{glued[i - 1]}={glued[i]}"]
     rc, out, err = run(capsys, *argv)
     assert "expected one argument" not in err
