@@ -136,7 +136,6 @@ class Factor:
     multiplicity: int
     kind: str
     label: str | None
-    symmetric_power: int
     dimension_contribution: int
 
     def describe(self) -> str:
@@ -222,8 +221,7 @@ def product_structure_report(ctx: LambdaContext, a: Sequence[int]) -> ProductRep
     for term in decomposition.terms:
         kind = _FACTOR_KINDS[term.root_class]
         label = kleinian_label(ctx, term.sigma) if kind == "Kleinian" else None
-        factors.append(Factor(term.sigma, term.multiplicity, kind, label, term.multiplicity,
-                              2 * term.multiplicity * term.p_value))
+        factors.append(Factor(term.sigma, term.multiplicity, kind, label, 2 * term.multiplicity * term.p_value))
         if kind != "Point":
             power_str = f"S^{term.multiplicity} " if term.multiplicity > 1 else ""
             pieces.append(f"{power_str}N({lam_str},{_format_vector(term.sigma)})")

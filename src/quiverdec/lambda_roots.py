@@ -139,12 +139,11 @@ class LambdaContext:
         if _below(bound, self._bound):
             return
         box = tuple(map(max, bound, self._bound))
-        try:
-            self.caps.check_box(box)
-        except ResourceLimit:
-            box = bound
         real = any(w for w, v in zip(self._scaled, self.quiver.vertices) if self.quiver.is_loopfree(v))
-        roots = _roots_with_p(self.quiver, box, self.caps, real)
+        try:
+            roots = _roots_with_p(self.quiver, box, self.caps, real)
+        except ResourceLimit:
+            box, roots = bound, _roots_with_p(self.quiver, bound, self.caps, real)
         self._roots = {b: roots[b] for b in self._orthogonal(roots)
                        if roots[b] or sum(b) == 1 or any(map(mul, self._scaled, b))}
         self._bound = box
@@ -163,9 +162,9 @@ class LambdaContext:
 
         Itself, ``a`` and () when the caps admit a box containing ``a``; else the pair's admissible
         descent, which keeps orthogonal roots and p, on the context kept for its reduced weight;
-        that triple is kept per vector, as no box of the caps ever covers it. A negative entry,
-        given or reached, raises NotInNRLambdaPlus; a descent with no step, as at weight 0,
-        re-raises the caps' refusal.
+        that triple is kept per vector, as no box of the caps ever covers it. NotInNRLambdaPlus for
+        a negative entry, given or reached, or a descent with no step from a vector not orthogonal
+        to the weight; any other descent with no step, as at weight 0, re-raises the caps' refusal.
         """
         a = dim_vector(self.quiver, a)
         if any(e < 0 for e in a):
@@ -177,6 +176,8 @@ class LambdaContext:
             except ResourceLimit:
                 state, seq = descend(self.quiver, PairState(self.weight, a))
                 if not seq:
+                    if sum(map(mul, self._scaled, a)):
+                        raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots") from None
                     raise
             if min(state.dim) < 0:
                 raise NotInNRLambdaPlus(f"{a!r} reflects along {','.join(seq)} to {state.dim!r}")

@@ -45,10 +45,9 @@ class Quiver:
         arrow_list = []
         for a in arrows:
             tail, head = a
-            if tail not in index:
-                raise ValueError(f"arrow {list(a)!r} uses undeclared vertex {tail!r}")
-            if head not in index:
-                raise ValueError(f"arrow {list(a)!r} uses undeclared vertex {head!r}")
+            for end in (tail, head):
+                if not isinstance(end, str) or end not in index:
+                    raise ValueError(f"arrow {list(a)!r} uses undeclared vertex {end!r}")
             arrow_list.append((tail, head))
 
         n = len(vertices)
@@ -280,10 +279,11 @@ def quiver_from_json_dict(data: dict) -> Quiver:
 
 def parse_quiver_json(text: str) -> Quiver:
     try:
-        data = json.loads(text)
+        return quiver_from_json_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    return quiver_from_json_dict(data)
+    except RecursionError:  # from json.loads, or from the repr of an arrow it read, in an error message
+        raise ValueError("quiver JSON is nested too deeply") from None
 
 
 def weight_entry_to_json(x: Fraction) -> int | str:

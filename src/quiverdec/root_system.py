@@ -314,10 +314,10 @@ def extended_dynkin_quiver(name: str) -> Quiver:
     raise ValueError(f"unknown extended Dynkin type {name!r}")
 
 
-def ade_label(q: Quiver, shape: QuiverShape | None = None) -> str:
+def ade_label(q: Quiver) -> str:
     """ADE type of an extended Dynkin quiver, e.g. ``A1`` for the double arrow (see :func:`_affine_label`)."""
-    shape = shape or classify_shape(q)
-    if shape.kind is not ShapeKind.EXTENDED_DYNKIN or shape.delta is None:
+    shape = classify_shape(q)
+    if shape.kind is not ShapeKind.EXTENDED_DYNKIN:
         raise ValueError("ADE labels exist only for extended Dynkin quivers")
     return _affine_label(q.cartan_matrix(), shape.delta, q)
 

@@ -192,6 +192,15 @@ def test_over_cap_decompose_answers_after_descent(capsys):
     assert rc == 3 and out == "" and "(max_bound_sum, QUIVERDEC_MAX_SUM, --max-sum)" in err
 
 
+def test_over_cap_vector_off_the_weight_is_a_non_member_without_a_box(capsys):
+    # the one loop admits no reflection: at weight 1 the pairing alone answers, at weight 0 the cap refuses
+    rc, out, err = run(capsys, "decompose", "--quiver", JORDAN, "--lambda", "1", "--alpha", "100")
+    assert (rc, out, err) == (1, "", "error: (100,) is not a sum of orthogonal positive roots\n")
+    assert run(capsys, "sigma", "--quiver", JORDAN, "--lambda", "1", "--alpha", "100") == (0, "false\n", "")
+    rc, out, err = run(capsys, "decompose", "--quiver", JORDAN, "--lambda", "0", "--alpha", "100")
+    assert rc == 3 and out == "" and "bound sum 100 exceeds cap 24" in err
+
+
 def test_json_determinism(capsys):
     args = ("decompose", "--quiver", EX4, "--lambda", "0,1,-2,1", "--alpha", "1,4,3,2", "--json")
     _, first, _ = run(capsys, *args)

@@ -97,7 +97,7 @@ def test_product_report_multiple_of_delta():
         assert len(report.factors) == 1
         factor = report.factors[0]
         assert factor.kind == "Kleinian" and factor.label == name
-        assert factor.symmetric_power == m
+        assert factor.multiplicity == m
         assert report.formula.startswith(f"S^{m} N(")
 
 
@@ -189,6 +189,16 @@ def test_over_cap_pair_at_weight_zero_is_still_refused():
     for query in (qd.canonical_decompose, qd.norm_lambda, qd.in_N_R_lambda_plus):
         with pytest.raises(qd.ResourceLimit, match="max_bound_sum"):
             query(ctx, (4, 12, 8, 4))
+
+
+def test_over_cap_pair_off_the_weight_with_no_descent_step_is_not_a_member():
+    # (100,99) pairs to 1 with the weight (1,-1) and no reflection reduces it: no box is needed
+    ctx = qd.LambdaContext(qd.Quiver(["0", "1"], [["0", "1"]] * 3), (1, -1))
+    assert not qd.in_N_R_lambda_plus(ctx, (100, 99))
+    assert qd.max_proper_sum_p(ctx, (100, 99)) is None
+    for query in (qd.norm_lambda, qd.sigma_maximizer_count, qd.canonical_decompose):
+        with pytest.raises(NotInNRLambdaPlus, match=r"\(100, 99\) is not a sum of orthogonal positive roots"):
+            query(ctx, (100, 99))
 
 
 def test_one_loop_far_past_the_default_sum_cap():

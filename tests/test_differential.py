@@ -527,7 +527,7 @@ def _subquiver_label(q, d):
         raise qd.NotIsotropicSigma(f"fundamental representative {d!r} has support of kind {shape.kind.value}")
     if restrict_vector(q, d, supp) != shape.delta:
         raise qd.NotIsotropicSigma(f"fundamental representative {d!r} is not the delta of its support")
-    return qd.ade_label(sub, shape)
+    return qd.ade_label(sub)
 
 
 def _bfs_label(ctx, sigma):

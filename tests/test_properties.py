@@ -248,6 +248,8 @@ _EX4_FILE, _KRONECKER_FILE = _FIXTURES[1][0], _FIXTURES[3][0]
 @example(case=(["decompose", "--quiver", _KRONECKER_FILE, "--lambda", "0,0", "--alpha", "1,2,3"], None),
          env={"QUIVERDEC_MAX_SUM": "1/0"})
 @example(case=(["classify", "--quiver", "QUIVER"], '{"vertices": [1], "arrows": null}'), env={})
+@example(case=(["classify", "--quiver", "QUIVER"], '{"vertices": ["a", "b"], "arrows": [[["a"], "b"]]}'), env={})
+@example(case=(["classify", "--quiver", "QUIVER"], "[" * 200_000 + "]" * 200_000), env={})
 @given(case=_invocation(), env=st.fixed_dictionaries({}, optional={k: _cap_values for k in _CAP_ENV}))
 def test_cli_never_escapes_with_a_traceback(quiver_dir, case, env):
     argv, text = case

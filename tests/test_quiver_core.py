@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -169,14 +170,26 @@ def test_quiver_json_round_trip():
 def test_quiver_json_errors():
     with pytest.raises(ValueError, match="missing"):
         quiver_from_json_dict({"vertices": ["1"]})
-    with pytest.raises(ValueError, match="undeclared"):
-        quiver_from_json_dict({"vertices": ["1"], "arrows": [["1", "2"]]})
+    for arrow in (["1", "2"], [["1"], "1"], ["1", {"1": 1}], [1, "1"]):
+        with pytest.raises(ValueError, match="undeclared"):
+            quiver_from_json_dict({"vertices": ["1"], "arrows": [arrow]})
     with pytest.raises(ValueError, match="line"):
         qd.parse_quiver_json("{not json")
     with pytest.raises(ValueError, match="must be an object"):
         quiver_from_json_dict(["1"])
     with pytest.raises(ValueError, match="'arrows' must be a list"):
         quiver_from_json_dict({"vertices": ["1"], "arrows": "1,1"})
+
+
+def test_quiver_json_nested_past_the_recursion_limit_is_a_value_error():
+    # near the limit json.loads may succeed and the repr of an arrow in an error message may not
+    limit = sys.getrecursionlimit()
+    for depth in [*range(limit - 100, limit + 1), 200_000]:
+        nested = "[" * depth + "]" * depth
+        for text in (nested, f'{{"vertices": ["a", "b"], "arrows": [[{nested}, "b"]]}}',
+                     f'{{"vertices": ["a", "b"], "arrows": [{nested}]}}'):
+            with pytest.raises(ValueError):
+                qd.parse_quiver_json(text)
 
 
 def test_weight_serialization():

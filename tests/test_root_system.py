@@ -9,7 +9,7 @@ from quiverdec import RootClass, ShapeKind
 from quiverdec.errors import ResourceLimit
 from quiverdec.caps import Caps
 from quiverdec.quiver_core import connected_components
-from quiverdec.root_system import _radical
+from quiverdec.root_system import _affine_label, _radical
 
 KRONECKER = qd.extended_dynkin_quiver("A1")
 JORDAN = qd.extended_dynkin_quiver("A0")
@@ -126,7 +126,7 @@ def test_extended_shapes_and_deltas():
         assert qd.q_form(q, shape.delta) == 0
         assert all(qd.bilinear_form(q, shape.delta, qd.coordinate_vector(q, v)) == 0 for v in q.vertices)
         assert shape.extending == tuple(v for v, d in zip(q.vertices, shape.delta) if d == 1)
-        assert qd.ade_label(q, shape) == name
+        assert qd.ade_label(q) == name
     for name in ("D3", "E5", "E9", "G2"):
         with pytest.raises(ValueError, match="unknown extended Dynkin type"):
             qd.extended_dynkin_quiver(name)
@@ -317,7 +317,7 @@ def test_ade_label_matches_the_family_table_on_the_relabelled_catalogue():
         for _ in range(6):
             q = _relabelled(qd.extended_dynkin_quiver(name), rng)
             shape = qd.classify_shape(q)
-            assert qd.ade_label(q) == qd.ade_label(q, shape) == _label_by_family_table(q, shape.delta) == name, q
+            assert qd.ade_label(q) == _label_by_family_table(q, shape.delta) == name, q
 
 
 def test_ade_label_rejects_a_delta_of_no_catalogue_diagram():
@@ -330,9 +330,8 @@ def test_ade_label_rejects_a_delta_of_no_catalogue_diagram():
     }
     for name, delta in wrong.items():
         q = qd.extended_dynkin_quiver(name)
-        shape = qd.QuiverShape(ShapeKind.EXTENDED_DYNKIN, delta, tuple(v for v, d in zip(q.vertices, delta) if d == 1))
         with pytest.raises(qd.InternalInconsistency, match="matches no affine ADE diagram"):
-            qd.ade_label(q, shape)
+            _affine_label(q.cartan_matrix(), delta, q)
     for q in (K3, A2, qd.Quiver(["a", "b"], [])):
         with pytest.raises(ValueError, match="extended Dynkin"):
             qd.ade_label(q)
