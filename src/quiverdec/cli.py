@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 
 from .caps import Caps
-from .decomposer import product_structure_report
+from .decomposer import _format_vector, _format_weight, product_structure_report
 from .errors import InvalidCaps, QuiverdecError, ResourceLimit
 from .lambda_roots import LambdaContext, in_sigma_lambda, sigma_lambda_upto
 from .quiver_core import (
@@ -25,7 +26,6 @@ from .quiver_core import (
     parse_quiver_json,
     parse_rational,
     q_form,
-    weight_entry_to_json,
 )
 from .reflection_walk import apply_sequence, make_pair, trace_to_json
 from .root_system import (
@@ -70,9 +70,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _format_pair(state) -> str:
-    lam = ",".join(str(weight_entry_to_json(x)) for x in state.weight)
-    dim = ",".join(str(x) for x in state.dim)
-    return f"(({lam}),({dim}))"
+    return f"({_format_weight(state.weight)},{_format_vector(state.dim)})"
 
 
 def _caps_from_args(args) -> Caps:
@@ -133,16 +131,10 @@ def _cmd_decompose(args) -> int:
     a = dim_vector(q, _parse_int_csv(args.alpha))
     report = product_structure_report(ctx, a)
     payload = report.to_json_dict()
-    lines = [
-        f"alpha: {list(report.decomposition.total)}",
-        f"dimension: {payload['dimension']}",
-    ]
-    for term in payload["terms"]:
-        lines.append(
-            f"  {term['m']} x {tuple(term['sigma'])}  class={term['class']}  p={term['p']}  factor={term['factor']}"
-        )
-    lines.append(f"formula: {payload['formula']}")
-    _emit(args, payload, lines)
+    lines = [f"alpha: {list(report.decomposition.total)}", f"dimension: {payload['dimension']}"]
+    lines += [f"  {t['m']} x {tuple(t['sigma'])}  class={t['class']}  p={t['p']}  factor={t['factor']}"
+              for t in payload["terms"]]
+    _emit(args, payload, lines + [f"formula: {payload['formula']}"])
     return 0
 
 
@@ -288,7 +280,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:  # stdout goes to devnull, so that the output still buffered drops silently
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 1
     except (QuiverdecError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3 if isinstance(exc, ResourceLimit) else 2 if isinstance(exc, InvalidCaps) else 1

@@ -21,9 +21,9 @@ from .errors import InternalInconsistency, NotInNRLambdaPlus, NotIsotropicSigma,
 from .lambda_roots import LambdaContext, norm_lambda
 from .quiver_core import (
     DimVector,
+    WeightVector,
     dim_vector,
     integer_entries,
-    weight_entry_to_json,
     weight_to_json_list,
 )
 from .root_system import _CLASS_BY_P, RootClass, _affine_label, _descent, _in_fundamental, simple_reflection
@@ -199,8 +199,8 @@ def _format_vector(vec) -> str:
     return "(" + ",".join(str(x) for x in vec) + ")"
 
 
-def _format_weight(lam) -> str:
-    return "(" + ",".join(str(weight_entry_to_json(x)) for x in lam) + ")"
+def _format_weight(lam: WeightVector) -> str:
+    return "(" + ",".join(map(str, lam)) + ")"  # a Fraction prints as its JSON entry: "3", "-1/2"
 
 
 _FACTOR_KINDS = {RootClass.REAL: "Point", RootClass.ISOTROPIC_IMAGINARY: "Kleinian",

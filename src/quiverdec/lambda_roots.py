@@ -18,7 +18,7 @@ filled bottom-up.
 from __future__ import annotations
 
 from math import prod
-from operator import mul
+from operator import le, mul, sub
 from typing import Collection, Iterable, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
@@ -94,14 +94,20 @@ class BoxTable:
                     count[k] += count[j]
 
     def witness(self, a: DimVector) -> tuple[DimVector, ...]:
-        """One multiset of the added items attaining the best at ``a``."""
-        parts = []
-        while any(a):
-            for item, p in self.items.items():
-                rest = tuple(x - y for x, y in zip(a, item))
-                if min(rest) >= 0 and self[rest] is not None and self[rest] + p == self[a]:
+        """One multiset of the added items attaining the best at ``a``, taking the first added that continues one.
+
+        Walks cell indices: a try reads the cell its item's index offset lower; only a match checks the item fits.
+        """
+        best, cell, parts = self._best, self._index(a), []
+        if best[cell] is None:
+            raise InternalInconsistency(f"no multiset of the added items sums to {a!r}")
+        offsets = [(item, self._index(item), p) for item, p in self.items.items()]
+        while cell:
+            target = best[cell]
+            for item, shift, p in offsets:
+                if (rest := cell - shift) >= 0 and best[rest] == target - p and all(map(le, item, a)):
                     parts.append(item)
-                    a = rest
+                    a, cell = tuple(map(sub, a, item)), rest
                     break
             else:
                 raise InternalInconsistency(f"no added item continues a best multiset at {a!r}")
@@ -180,7 +186,8 @@ class LambdaContext:
                         raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots") from None
                     raise
             if min(state.dim) < 0:
-                raise NotInNRLambdaPlus(f"{a!r} reflects along {','.join(seq)} to {state.dim!r}")
+                along = ",".join(seq) if len(seq) <= 64 else f"{','.join(seq[:8])},… ({len(seq)} reflections)"
+                raise NotInNRLambdaPlus(f"{a!r} reflects along {along} to {state.dim!r}")
             low = self._reduced.get(state.weight) or LambdaContext(self.quiver, state.weight, self.caps)
             self._reduced[state.weight] = low
             self._over[a] = low, state.dim, seq

@@ -25,9 +25,9 @@ from .quiver_core import (
     DimVector,
     Quiver,
     bilinear_form,
+    connected_components,
     coordinate_vector,
     dim_vector,
-    has_connected_support,
     integer_entries,
     lambda_dot,
     p_form,
@@ -90,7 +90,8 @@ def positive_roots_in_box(q: Quiver, bound: Sequence[int], caps: Caps | None = N
     simples = {coordinate_vector(q, v) for v in q.vertices if q.is_loopfree(v) and bound[q.index(v)] >= 1}
     fundamental = {
         vec for vec in iter_box(bound)
-        if all(pairing_with_simple(q, vec, v) <= 0 for v in q.vertices) and has_connected_support(q, vec)
+        if all(pairing_with_simple(q, vec, v) <= 0 for v in q.vertices)
+        and len(connected_components(q, support(q, vec))) == 1
     }
     result = frozenset(_closure(q, simples | fundamental, bound))
     if len(_ROOT_BOX_CACHE) < 4096:

@@ -33,7 +33,7 @@ class Quiver:
     with a loop contributing ``-2*a_i*b_i``.
     """
 
-    __slots__ = ("vertices", "arrows", "_index", "_cartan", "_loops", "_moves")
+    __slots__ = ("vertices", "arrows", "_index", "_cartan", "_loops", "_moves", "_nbrs")
 
     def __init__(self, vertices: Iterable[str], arrows: Iterable[Sequence[str]]):
         vertices = tuple(vertices)
@@ -51,7 +51,7 @@ class Quiver:
             arrow_list.append((tail, head))
 
         n = len(vertices)
-        loops = [0] * n
+        loops, nbrs = [0] * n, [0] * n  # nbrs: each vertex's neighbours, as a bitmask
         cartan = [[0] * n for _ in range(n)]
         for tail, head in arrow_list:
             t, h = index[tail], index[head]
@@ -60,6 +60,7 @@ class Quiver:
             else:
                 cartan[t][h] -= 1
                 cartan[h][t] -= 1
+                nbrs[t], nbrs[h] = nbrs[t] | 1 << h, nbrs[h] | 1 << t
         for i in range(n):
             cartan[i][i] = 2 - 2 * loops[i]
 
@@ -70,6 +71,7 @@ class Quiver:
         self._cartan = tuple(tuple(row) for row in cartan)
         self._moves = tuple((i, tuple((j, -c) for j, c in enumerate(row) if c and j != i))
                             for i, row in enumerate(cartan) if not loops[i])  # loopfree i, neighbours (j, -C_ij)
+        self._nbrs = tuple(nbrs)
 
     # -- basic structure --------------------------------------------------
 
@@ -241,11 +243,18 @@ def connected_components(q: Quiver, within: Iterable[str] | None = None) -> list
 
 
 def has_connected_support(q: Quiver, a: Sequence[int]) -> bool:
-    """True iff the support is nonempty and spans one component."""
-    supp = support(q, a)
-    if not supp:
-        return False
-    return len(connected_components(q, supp)) == 1
+    """True iff the support is nonempty and spans one component (see :func:`_spans_one_component`)."""
+    _check_len(q, a)
+    return _spans_one_component(q, sum(1 << i for i, e in enumerate(a) if e))
+
+
+def _spans_one_component(q: Quiver, mask: int) -> bool:
+    """True iff bitmask ``mask`` holds vertices, all connected: a flood fill on ``Quiver._nbrs``."""
+    reached, fresh = 0, mask & -mask  # fresh: vertices found whose neighbours are not yet joined
+    while fresh:
+        reached |= (low := fresh & -fresh)
+        fresh = (fresh | q._nbrs[low.bit_length() - 1] & mask) & ~reached
+    return reached == mask != 0
 
 
 # -- JSON ------------------------------------------------------------------

@@ -24,6 +24,7 @@ from .errors import InternalInconsistency
 from .quiver_core import (
     DimVector,
     Quiver,
+    _spans_one_component,
     connected_components,
     dim_vector,
     has_connected_support,
@@ -135,15 +136,16 @@ def positive_roots_upto(q: Quiver, bound: Sequence[int], caps: Caps = DEFAULT_CA
 def _roots_with_p(q: Quiver, bound: Sequence[int], caps: Caps, real: bool = True) -> dict[DimVector, int]:
     """Each positive root componentwise below ``bound``, with its p.
 
-    Kac: a positive root that is no loopfree coordinate vector and lies outside the
-    fundamental region F pairs positively with a loopfree e_i, and s_i lowers it to a
-    positive root. Read upwards, the box's roots are those coordinate vectors and F's
-    vectors with connected support, raised by reflections at loopfree e_k pairing negatively
-    that stay in the box, and each keeps its seed's p. F is searched coordinate by
-    coordinate, each over one interval. Every vector carries its pairings with the e_k,
-    which a reflection at k moves by a multiple of row k of the form. Vertices of bound 0
-    drop out: a raising reflection there leaves the box. Unless ``real``, only F's seeds
-    are raised: the result holds the imaginary roots and the loopfree coordinate vectors.
+    Kac: a positive root that is no loopfree coordinate vector and lies outside the fundamental region F
+    pairs positively with a loopfree e_i, and s_i lowers it to a positive root. Read upwards, the box's
+    roots are those coordinate vectors and F's vectors with connected support, raised by reflections at
+    loopfree e_k pairing negatively that stay in the box, and each keeps its seed's p. Every vector
+    carries its pairings with the e_k, which a reflection at k moves by a multiple of row k of the form.
+    F is searched coordinate by coordinate, each over one interval bounded by the loopfree rows it
+    moves, split by sign once per coordinate; x there moves the pairings in its row's nonzero columns,
+    and x = 0 shares them. Each support bitmask of F is tested for connectivity once. Vertices of bound
+    0 drop out: a raising reflection there leaves the box. Unless ``real``, only F's seeds are raised:
+    the result holds the imaginary roots and the loopfree coordinate vectors.
     """
     bound = dim_vector(q, bound)
     if any(b < 0 for b in bound):
@@ -151,28 +153,35 @@ def _roots_with_p(q: Quiver, bound: Sequence[int], caps: Caps, real: bool = True
     caps.check_box(bound)
     live = [i for i, b in enumerate(bound) if b]
     top = [bound[i] for i in live]
-    form = [[q.cartan_matrix()[i][j] for j in live] for i in live]
-    free = [k for k, i in enumerate(live) if q.is_loopfree(q.vertices[i])]
-    # F, coordinate by coordinate: a prefix carries its pairings with the e_k, and ``slack[d]``
-    # holds each row's most negative terms from coordinate d on, so each loopfree row that the
-    # next coordinate x moves bounds x above (w > 0) or below (w < 0); the prefix met the others
+    form = [[q._cartan[i][j] for j in live] for i in live]
+    free = [k for k, i in enumerate(live) if not q._loops[i]]
+    # a prefix of F carries its pairings and its support's bitmask; ``slack[d]`` holds each row's most negative
+    # terms from coordinate d on, so each loopfree row that coordinate d moves bounds it above (w > 0) or below
     slack = [[0] * len(live)]
     for d in reversed(range(len(live))):
         slack.insert(0, [s + min(0, w) * top[d] for s, w in zip(slack[0], form[d])])
-    cone = [((), [0] * len(live))]
+    cone = [((), [0] * len(live), 0)]
     for d, b in enumerate(top):
-        terms = [(k, w, slack[d + 1][k]) for k in free if (w := form[d][k])]  # row[k] + s + w * x <= 0
-        cone = [(a + (x,), [v + w * x for v, w in zip(row, form[d])]) for a, row in cone
-                for x in range(max([0] + [-((row[k] + s) // w) for k, w, s in terms if w < 0]),
-                               min([b] + [-(row[k] + s) // w for k, w, s in terms if w > 0]) + 1)]
-
-    def place(a: Sequence[int]) -> DimVector:
-        entries = iter(a)
-        return tuple(next(entries) if b else 0 for b in bound)
-
-    connected = cache(lambda supp: has_connected_support(q, place(supp)))  # many vectors share a support
-    simple = [(tuple(int(j == k) for j in range(len(live))), form[k]) for k in free]
-    frontier = (simple if real else []) + [(a, row) for a, row in cone if any(a) and connected(tuple(map(bool, a)))]
+        lower = [(k, w, slack[d + 1][k]) for k in free if (w := form[d][k]) < 0]  # row[k] + s + w * x <= 0
+        upper = [(k, w, slack[d + 1][k]) for k in free if (w := form[d][k]) > 0]
+        cols, bit, grown = [(k, w) for k, w in enumerate(form[d]) if w], 1 << live[d], []
+        for a, row, mask in cone:
+            lo, hi = 0, b
+            for k, w, s in lower:
+                if (x := -((row[k] + s) // w)) > lo:
+                    lo = x
+            for k, w, s in upper:
+                if (x := -(row[k] + s) // w) < hi:
+                    hi = x
+            for x in range(lo, hi + 1):
+                child = row.copy() if x else row  # x = 0 moves no pairing: the child shares its parent's row
+                for k, w in cols if x else ():
+                    child[k] += w * x
+                grown.append((a + (x,), child, mask | bit if x else mask))
+        cone = grown
+    connected = {mask: _spans_one_component(q, mask) for mask in {mask for *_, mask in cone}}  # one per support
+    simple = [((0,) * k + (1,) + (0,) * (len(live) - k - 1), form[k]) for k in free]
+    frontier = (simple if real else []) + [(a, row) for a, row, mask in cone if connected[mask]]
     roots = {a: 1 - sum(map(mul, a, row)) // 2 for a, row in simple + frontier}
     while frontier:
         a, row = frontier.pop()
@@ -180,7 +189,8 @@ def _roots_with_p(q: Quiver, bound: Sequence[int], caps: Caps, real: bool = True
             if (c := row[k]) < 0 and (x := a[k] - c) <= top[k] and (image := a[:k] + (x,) + a[k + 1:]) not in roots:
                 roots[image] = roots[a]
                 frontier.append((image, [v - c * w for v, w in zip(row, form[k])]))
-    return roots if len(live) == q.n else {place(a): p for a, p in roots.items()}
+    at = [live.index(i) if b else -1 for i, b in enumerate(bound)]  # -1: the 0 appended to each root
+    return roots if len(live) == q.n else {tuple((a + (0,))[j] for j in at): p for a, p in roots.items()}
 
 
 # -- shape recognition -------------------------------------------------------

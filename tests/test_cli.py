@@ -355,3 +355,27 @@ def test_roots_lambda_refuses_a_bound_as_roots_does(capsys, bound, code):
     plain = run(capsys, "roots", "--quiver", KRONECKER, "--bound", bound)
     assert plain[0] == code and plain[1] == ""
     assert run(capsys, "roots", "--quiver", KRONECKER, "--bound", bound, "--lambda", "1,-1") == plain
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_a_reader_that_closes_at_once_gets_exit_1_and_no_traceback(unbuffered):
+    # unbuffered, the write inside print fails; buffered, the output first meets the pipe at main's flush
+    source = str(Path(qd.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
+    env.update({"PYTHONUNBUFFERED": "1"} if unbuffered else {})
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "quiverdec.cli", "verify", "--json"], stdout=write,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_a_long_descent_to_a_negative_entry_prints_a_short_error(capsys):
+    rc, out, err = run(capsys, "decompose", "--quiver", KRONECKER, "--lambda", "1,-1", "--alpha", "20000,20001")
+    assert (rc, out) == (1, "")
+    assert len(err.encode()) < 1024 and err.startswith("error: (20000, 20001) reflects along 1,0,1,0,")
+    assert err.endswith(",… (20001 reflections) to (0, -1)\n")

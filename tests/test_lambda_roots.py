@@ -1,11 +1,12 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 import quiverdec as qd
-from corpus import table_cells
-from quiverdec.errors import NotInNRLambdaPlus
+from corpus import build_corpus, table_cells
+from quiverdec.errors import InternalInconsistency, NotInNRLambdaPlus
 
 EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
 EX4_WEIGHT = (0, 1, -2, 1)
@@ -224,3 +225,35 @@ def test_orthogonal_roots_match_the_rational_filter(q, lam, bound):
     for table in ("sigma_table", "norm_table"):
         ours, theirs = getattr(ctx, table)(bound), getattr(scaled, table)(bound)
         assert (table_cells(ours), ours.items) == (table_cells(theirs), theirs.items), table
+
+
+def _witness_by_tuples(table, a):
+    """Reference: the first added item, in the order added, whose rest is a best cell, one tuple per try."""
+    parts = []
+    while any(a):
+        for item, p in table.items.items():
+            rest = tuple(x - y for x, y in zip(a, item))
+            if min(rest) >= 0 and table[rest] is not None and table[rest] + p == table[a]:
+                parts.append(item)
+                a = rest
+                break
+        else:
+            raise InternalInconsistency(f"no added item continues a best multiset at {a!r}")
+    return tuple(parts)
+
+
+def test_witness_by_cell_index_matches_the_walk_by_tuples_at_every_corpus_cell():
+    reached = 0
+    for q, lam, alpha in sorted({(q, lam, alpha) for _, q, lam, alpha, _ in build_corpus()}, key=repr):
+        ctx = qd.LambdaContext(q, lam)
+        for table in (ctx.sigma_table(alpha), ctx.norm_table(alpha)):
+            for a in itertools.product(*(range(b + 1) for b in table.bound)):
+                if table[a] is None:
+                    with pytest.raises(InternalInconsistency):
+                        table.witness(a)
+                    with pytest.raises(InternalInconsistency):
+                        _witness_by_tuples(table, a)
+                else:
+                    assert table.witness(a) == _witness_by_tuples(table, a), (q, lam, a)
+                    reached += 1
+    assert reached >= 2000

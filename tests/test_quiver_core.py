@@ -161,6 +161,28 @@ def test_connected_components_match_the_arrow_walk():
     assert min(shapes.values()) >= 100, shapes
 
 
+def test_bitmask_connectivity_matches_connected_components():
+    """``has_connected_support`` walks neighbour bitmasks; the reference counts named components."""
+    rng = random.Random(20261020)
+    shapes = {"loop": 0, "parallel": 0, "isolated": 0, "zero": 0, "connected": 0, "split": 0}
+    for _ in range(3000):
+        n = rng.randint(0, 9)
+        vertices = [f"v{i}" for i in range(n)]
+        arrows = []
+        for _ in range(rng.randint(0, 2 * n)):
+            arrows += [[rng.choice(vertices), rng.choice(vertices)]] * rng.choice((1, 1, 2, 3))
+        q = qd.Quiver(vertices, arrows)
+        shapes["loop"] += any(t == h for t, h in q.arrows)
+        shapes["parallel"] += len(set(q.arrows)) < len(q.arrows)
+        shapes["isolated"] += any(q.degree(v) == 0 for v in vertices)
+        for a in ((0,) * n, tuple(rng.choice((0, 0, 1, 2)) for _ in range(n))):
+            shapes["zero"] += not any(a)
+            expected = len(connected_components(q, qd.support(q, a))) == 1
+            assert has_connected_support(q, a) == expected, (q, a)
+            shapes["connected" if expected else "split"] += any(a)
+    assert min(shapes.values()) >= 100, shapes
+
+
 def test_quiver_json_round_trip():
     data = quiver_to_json_dict(EX4)
     again = quiver_from_json_dict(json.loads(json.dumps(data)))
