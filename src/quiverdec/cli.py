@@ -2,7 +2,9 @@
 
 Subcommands: classify, roots, sigma, decompose, reflect, verify. Inputs
 are a quiver JSON file plus comma-separated vectors; weights accept exact
-"p/q" entries. Exit codes: 0 success (and, for verify, all checks
+"p/q" entries. Only roots, sigma, decompose and verify, which enumerate
+boxes, take the cap flags --max-box and --max-sum; sigma takes exactly one
+of --alpha and --bound. Exit codes: 0 success (and, for verify, all checks
 passing), 1 domain errors, 2 usage errors, 3 resource limits. JSON output
 is byte-deterministic for identical invocations.
 """
@@ -111,8 +113,6 @@ def _cmd_roots(args) -> int:
 def _cmd_sigma(args) -> int:
     q = parse_quiver_file(args.quiver)
     ctx = LambdaContext(q, _parse_weight_csv(args.weight), _caps_from_args(args))
-    if (args.alpha is None) == (args.bound is None):
-        raise ValueError("give exactly one of --alpha (membership) or --bound (enumeration)")
     if args.alpha is not None:
         a = dim_vector(q, _parse_int_csv(args.alpha))
         member = in_sigma_lambda(ctx, a)
@@ -214,15 +214,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, quiver=True):
+    def common(p, quiver=True, caps=True):
         if quiver:
             p.add_argument("--quiver", required=True, help="path to a quiver JSON file")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument("--max-box", type=int, default=None, help="override the box volume cap")
-        p.add_argument("--max-sum", type=int, default=None, help="override the box entry-sum cap")
+        if caps:  # only the commands that enumerate a box
+            p.add_argument("--max-box", type=int, default=None, help="override the box volume cap")
+            p.add_argument("--max-sum", type=int, default=None, help="override the box entry-sum cap")
 
     p = sub.add_parser("classify", help="classify a dimension vector, or the quiver shape")
-    common(p)
+    common(p, caps=False)
     p.add_argument("--alpha", help="dimension vector, comma separated")
     p.set_defaults(func=_cmd_classify)
 
@@ -235,8 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sigma", help="Sigma membership or enumeration")
     common(p)
     p.add_argument("--lambda", dest="weight", required=True)
-    p.add_argument("--alpha")
-    p.add_argument("--bound")
+    one = p.add_mutually_exclusive_group(required=True)
+    one.add_argument("--alpha", help="test this dimension vector for membership")
+    one.add_argument("--bound", help="list the members componentwise below this vector")
     p.set_defaults(func=_cmd_sigma)
 
     p = sub.add_parser("decompose", help="canonical decomposition and product structure")
@@ -246,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("reflect", help="apply a sequence of admissible reflections")
-    common(p)
+    common(p, caps=False)
     p.add_argument("--lambda", dest="weight", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--seq", required=True, help="vertices to reflect at, comma separated")

@@ -18,7 +18,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import InternalInconsistency, NotInNRLambdaPlus, NotIsotropicSigma, SumMismatch
-from .lambda_roots import LambdaContext, norm_lambda
+from .lambda_roots import BoxTable, LambdaContext, norm_lambda
 from .quiver_core import (
     DimVector,
     WeightVector,
@@ -56,20 +56,18 @@ class CanonicalDecomposition:
         return tuple(sorted(out))
 
 
-def _maximal_sigma_multiset(ctx: LambdaContext, a: DimVector):
-    """(best p-sum, count, one witness) of Sigma multisets summing to ``a``, in the box of ``ctx``.
-
-    Read from the counting Sigma table; NotInNRLambdaPlus when no multiset sums to ``a``.
-    """
+def _sigma_table_at(ctx: LambdaContext, a: DimVector) -> BoxTable:
+    """The counting Sigma table of the box of ``ctx``; NotInNRLambdaPlus when no multiset sums to ``a``."""
     table = ctx._table("sigma")
     if table[a] is None:
         raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots")
-    return table[a], table.count(a), table.witness(a)
+    return table
 
 
 def sigma_maximizer_count(ctx: LambdaContext, a: Sequence[int]) -> int:
     """How many Sigma multisets attain the maximal p-sum; expected 1."""
-    return _maximal_sigma_multiset(*ctx.resolve(a)[:2])[1]
+    low, b, _ = ctx.resolve(a)
+    return _sigma_table_at(low, b).count(b)
 
 
 def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomposition:
@@ -85,7 +83,8 @@ def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomp
     """
     a = dim_vector(ctx.quiver, a)
     low, b, seq = ctx.resolve(a)
-    best, count, witness = _maximal_sigma_multiset(low, b)
+    table = _sigma_table_at(low, b)
+    best, count = table[b], table.count(b)
     if count != 1:
         raise InternalInconsistency(
             f"{count} maximizing multisets for {b!r}; expected exactly one"
@@ -94,10 +93,9 @@ def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomp
         raise InternalInconsistency(
             f"maximal p-sum over Sigma multisets ({best}) disagrees with the norm"
         )
-    items = low._table("sigma").items
     terms = []
-    for sigma, mult in Counter(witness).items():
-        p = items[sigma]
+    for sigma, mult in Counter(table.witness(b)).items():
+        p = table.items[sigma]
         if p > 1 and mult != 1:
             raise InternalInconsistency(
                 f"non-isotropic term {sigma!r} appears with multiplicity {mult}"

@@ -17,7 +17,6 @@ filled bottom-up.
 
 from __future__ import annotations
 
-from math import prod
 from operator import le, mul, sub
 from typing import Collection, Iterable, Sequence
 
@@ -53,10 +52,11 @@ class BoxTable:
 
     def __init__(self, bound: DimVector, seeds: Collection[int] = ()):
         self.bound = bound
-        self._strides = tuple(prod(b + 1 for b in bound[i + 1:]) for i in range(len(bound)))
+        self._strides = [0] * len(bound)  # coordinate i's is the cell count of the coordinates after it
         self._best: list[int | None] = [0]
         self._count = [1]
         for i in reversed(range(len(bound))):
+            self._strides[i] = len(self._best)
             if i in seeds:
                 self._best, self._count = self._best * (bound[i] + 1), self._count * (bound[i] + 1)
             else:
@@ -128,8 +128,10 @@ class LambdaContext:
         self.weight: WeightVector = weight_vector(quiver, weight)
         self._scaled = _integer_weight(self.weight)[1]  # orthogonality is linear in the weight
         self.caps = caps
+        self._real = any(w for w, v in zip(self._scaled, quiver.vertices) if quiver.is_loopfree(v))  # see _cover
         self._bound: DimVector = zero_vector(quiver)
         self._roots: dict[DimVector, int] = {}  # p of each kept orthogonal root of the box, by (sum, lex)
+        self._seeds: dict[DimVector, int] = {}  # the kept roots of entry sum 1 and p = 0, to their coordinate
         self._tables: dict[str, BoxTable] = {}
         self._reduced: dict[WeightVector, LambdaContext] = {}  # where over-cap vectors descend, by weight
         self._over: dict[DimVector, tuple[LambdaContext, DimVector, tuple[str, ...]]] = {}  # resolved over-cap
@@ -145,13 +147,13 @@ class LambdaContext:
         if _below(bound, self._bound):
             return
         box = tuple(map(max, bound, self._bound))
-        real = any(w for w, v in zip(self._scaled, self.quiver.vertices) if self.quiver.is_loopfree(v))
         try:
-            roots = _roots_with_p(self.quiver, box, self.caps, real)
+            roots = _roots_with_p(self.quiver, box, self.caps, self._real)
         except ResourceLimit:
-            box, roots = bound, _roots_with_p(self.quiver, bound, self.caps, real)
+            box, roots = bound, _roots_with_p(self.quiver, bound, self.caps, self._real)
         self._roots = {b: roots[b] for b in self._orthogonal(roots)
                        if roots[b] or sum(b) == 1 or any(map(mul, self._scaled, b))}
+        self._seeds = {b: b.index(1) for b, p in self._roots.items() if sum(b) == 1 and not p}
         self._bound = box
         self._tables.clear()
 
@@ -214,10 +216,9 @@ class LambdaContext:
         joins Sigma and the table.
         """
         if kind not in self._tables:
-            seeds = {b: b.index(1) for b, p in self._roots.items() if sum(b) == 1 and not p}
-            table = self._tables[kind] = BoxTable(self._bound, seeds.values())
+            table = self._tables[kind] = BoxTable(self._bound, self._seeds.values())
             for beta, p in self._roots.items():
-                if beta in seeds:  # seeded, with no proper split: never read its cell
+                if beta in self._seeds:  # seeded, with no proper split: never read its cell
                     table.items[beta] = p
                 elif kind == "norm" or (split := table[beta]) is None or split < p:
                     table.add(beta, p)

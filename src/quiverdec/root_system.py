@@ -25,7 +25,6 @@ from .quiver_core import (
     DimVector,
     Quiver,
     _spans_one_component,
-    connected_components,
     dim_vector,
     has_connected_support,
     p_form,
@@ -262,7 +261,7 @@ def classify_shape(q: Quiver) -> QuiverShape:
     positive primitive vector delta (computed from the exact radical, never
     from a lookup table). Disconnected or empty quivers report Other.
     """
-    if q.n == 0 or len(connected_components(q)) != 1:
+    if not _spans_one_component(q, (1 << q.n) - 1):  # the empty quiver spans none
         return QuiverShape(ShapeKind.OTHER)
     radical = _radical(q.cartan_matrix())
     if radical == []:

@@ -93,8 +93,52 @@ def test_sigma_membership(capsys):
 
 
 def test_sigma_usage_error(capsys):
-    rc, _, err = run(capsys, "sigma", "--quiver", EX4, "--lambda", "0,1,-2,1")
-    assert rc == 1 and "exactly one" in err
+    rc, out, err = run(capsys, "sigma", "--quiver", EX4, "--lambda", "0,1,-2,1")
+    assert (rc, out) == (2, "") and "error: one of the arguments --alpha --bound is required" in err
+
+
+def test_sigma_takes_alpha_or_bound_not_both(capsys):
+    rc, out, err = run(capsys, "sigma", "--quiver", EX4, "--lambda", "0,1,-2,1", "--alpha", "1,3,2,1",
+                       "--bound", "1,1,1,1")
+    assert (rc, out) == (2, "") and "error: argument --bound: not allowed with argument --alpha" in err
+
+
+def test_sigma_below_a_negative_bound_lists_nothing(capsys):
+    assert run(capsys, "sigma", "--quiver", KRONECKER, "--lambda", "0,0", "--bound", "-1,2") == (0, "", "")
+    assert qd.sigma_lambda_upto(qd.LambdaContext(qd.load_fixture("kronecker.json"), (0, 0)), (-1, 2)) == ()
+
+
+CAP_SETTINGS = [("--max-box", "QUIVERDEC_MAX_BOX"), ("--max-sum", "QUIVERDEC_MAX_SUM")]
+
+
+@pytest.mark.parametrize("flag, env", CAP_SETTINGS)
+@pytest.mark.parametrize("argv", [
+    ("classify", "--quiver", KRONECKER),
+    ("classify", "--quiver", KRONECKER, "--alpha", "1,1"),
+    ("reflect", "--quiver", EX4, "--lambda", "0,1,-2,1", "--alpha", "1,3,2,1", "--seq", "2"),
+])
+@pytest.mark.parametrize("value", ["5", "0", "-3"])
+def test_commands_that_enumerate_no_box_take_no_cap(capsys, monkeypatch, argv, flag, env, value):
+    rc, out, err = run(capsys, *argv, flag, value)
+    assert (rc, out) == (2, "") and f"error: unrecognized arguments: {flag} {value}" in err
+    assert "Traceback" not in err
+    monkeypatch.setenv(env, value)  # not read
+    assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("flag, env", CAP_SETTINGS)
+@pytest.mark.parametrize("argv", [
+    ("roots", "--quiver", KRONECKER, "--bound", "1,1"),
+    ("sigma", "--quiver", EX4, "--lambda", "0,1,-2,1", "--alpha", "1,3,2,1"),
+    ("decompose", "--quiver", KRONECKER, "--lambda", "0,0", "--alpha", "1,1"),
+    ("verify",),
+])
+def test_commands_that_enumerate_a_box_take_both_caps(capsys, monkeypatch, argv, flag, env):
+    rc, out, err = run(capsys, *argv, flag, "0")
+    assert (rc, out) == (2, "") and "must be a positive integer" in err
+    monkeypatch.setenv(env, "0")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (2, "") and env in err
 
 
 def test_classify(capsys):
