@@ -39,7 +39,6 @@ from .errors import (
     InadmissibleStep,
     InternalInconsistency,
     InvalidCaps,
-    NonUniqueMaximizer,
     NotInNRLambdaPlus,
     NotIsotropicSigma,
     QuiverdecError,

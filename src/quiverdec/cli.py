@@ -214,7 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, quiver=True, caps=True):
+    def common(p, func, quiver=True, caps=True):
+        p.set_defaults(func=func, parser=p)  # main reports an argument p does not take under p's usage
         if quiver:
             p.add_argument("--quiver", required=True, help="path to a quiver JSON file")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -223,40 +224,34 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-sum", type=int, default=None, help="override the box entry-sum cap")
 
     p = sub.add_parser("classify", help="classify a dimension vector, or the quiver shape")
-    common(p, caps=False)
+    common(p, _cmd_classify, caps=False)
     p.add_argument("--alpha", help="dimension vector, comma separated")
-    p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("roots", help="positive roots below a bound")
-    common(p)
+    common(p, _cmd_roots)
     p.add_argument("--bound", required=True)
     p.add_argument("--lambda", dest="weight", default=None, help="keep only roots orthogonal to this weight")
-    p.set_defaults(func=_cmd_roots)
 
     p = sub.add_parser("sigma", help="Sigma membership or enumeration")
-    common(p)
+    common(p, _cmd_sigma)
     p.add_argument("--lambda", dest="weight", required=True)
     one = p.add_mutually_exclusive_group(required=True)
     one.add_argument("--alpha", help="test this dimension vector for membership")
     one.add_argument("--bound", help="list the members componentwise below this vector")
-    p.set_defaults(func=_cmd_sigma)
 
     p = sub.add_parser("decompose", help="canonical decomposition and product structure")
-    common(p)
+    common(p, _cmd_decompose)
     p.add_argument("--lambda", dest="weight", required=True)
     p.add_argument("--alpha", required=True)
-    p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("reflect", help="apply a sequence of admissible reflections")
-    common(p, caps=False)
+    common(p, _cmd_reflect, caps=False)
     p.add_argument("--lambda", dest="weight", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--seq", required=True, help="vertices to reflect at, comma separated")
-    p.set_defaults(func=_cmd_reflect)
 
     p = sub.add_parser("verify", help="run the exhaustive lemma checks")
-    common(p, quiver=False)
-    p.set_defaults(func=_cmd_verify)
+    common(p, _cmd_verify, quiver=False)
 
     return parser
 
@@ -278,7 +273,9 @@ def _glue_vector_values(argv) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_glue_vector_values(sys.argv[1:] if argv is None else argv))
+        args, extra = parser.parse_known_args(_glue_vector_values(sys.argv[1:] if argv is None else argv))
+        if extra:  # argparse leaves them to the root parser, whose usage names no subcommand
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -17,8 +17,8 @@ from math import gcd
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from .errors import InternalInconsistency, NotInNRLambdaPlus, NotIsotropicSigma, SumMismatch
-from .lambda_roots import BoxTable, LambdaContext, norm_lambda
+from .errors import InternalInconsistency, NotIsotropicSigma, SumMismatch
+from .lambda_roots import LambdaContext, _table_at, norm_lambda
 from .quiver_core import (
     DimVector,
     WeightVector,
@@ -56,18 +56,10 @@ class CanonicalDecomposition:
         return tuple(sorted(out))
 
 
-def _sigma_table_at(ctx: LambdaContext, a: DimVector) -> BoxTable:
-    """The counting Sigma table of the box of ``ctx``; NotInNRLambdaPlus when no multiset sums to ``a``."""
-    table = ctx._table("sigma")
-    if table[a] is None:
-        raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots")
-    return table
-
-
 def sigma_maximizer_count(ctx: LambdaContext, a: Sequence[int]) -> int:
     """How many Sigma multisets attain the maximal p-sum; expected 1."""
     low, b, _ = ctx.resolve(a)
-    return _sigma_table_at(low, b).count(b)
+    return _table_at(low, "sigma", b).count(b)
 
 
 def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomposition:
@@ -83,7 +75,7 @@ def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomp
     """
     a = dim_vector(ctx.quiver, a)
     low, b, seq = ctx.resolve(a)
-    table = _sigma_table_at(low, b)
+    table = _table_at(low, "sigma", b)
     best, count = table[b], table.count(b)
     if count != 1:
         raise InternalInconsistency(

@@ -38,10 +38,6 @@ class SumMismatch(QuiverdecError, ValueError):
     """Two decompositions being compared do not sum to the same vector."""
 
 
-class NonUniqueMaximizer(QuiverdecError):
-    """Exhaustive search found more than one maximizing decomposition."""
-
-
 class InadmissibleStep(QuiverdecError, ValueError):
     """A reflection sequence hit a vertex that is not admissible."""
 

@@ -118,9 +118,10 @@ class LambdaContext:
     """A quiver with a fixed exact-rational weight and resource caps.
 
     The context classifies one box, grown to cover each bound asked about,
-    with its Sigma and norm tables; Sigma decisions are memoized by vector,
-    as they do not depend on the box. A context is safe to use from one
-    thread at a time; distinct contexts are fully independent.
+    with its Sigma and norm tables. Only over-cap vectors keep their
+    resolution per vector, and the reduced contexts they descend to are kept
+    per weight. A context is safe to use from one thread at a time; distinct
+    contexts are fully independent.
     """
 
     def __init__(self, quiver: Quiver, weight: Iterable, caps: Caps = DEFAULT_CAPS):
@@ -225,6 +226,14 @@ class LambdaContext:
         return self._tables[kind]
 
 
+def _table_at(ctx: LambdaContext, kind: str, a: DimVector) -> BoxTable:
+    """The "sigma" or "norm" table of the box of ``ctx``; NotInNRLambdaPlus when no multiset sums to ``a``."""
+    table = ctx._table(kind)
+    if table[a] is None:
+        raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots")
+    return table
+
+
 def in_R_lambda_plus(ctx: LambdaContext, a: Sequence[int]) -> bool:
     """Positive root orthogonal to the weight?"""
     a = dim_vector(ctx.quiver, a)
@@ -249,10 +258,7 @@ def in_N_R_lambda_plus(ctx: LambdaContext, a: Sequence[int]) -> bool:
 def norm_lambda(ctx: LambdaContext, a: Sequence[int]) -> int:
     """Maximal p-sum over decompositions into orthogonal positive roots."""
     ctx, a, _ = ctx.resolve(a)
-    best = ctx._table("norm")[a]
-    if best is None:
-        raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots")
-    return best
+    return _table_at(ctx, "norm", a)[a]
 
 
 def max_proper_sum_p(ctx: LambdaContext, a: Sequence[int]) -> int | None:

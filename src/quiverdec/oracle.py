@@ -19,7 +19,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .caps import Caps
-from .errors import NonUniqueMaximizer, NotInNRLambdaPlus
+from .errors import InternalInconsistency, NotInNRLambdaPlus
 from .lambda_roots import LambdaContext
 from .quiver_core import (
     DimVector,
@@ -225,7 +225,7 @@ def sigma_member(ctx: LambdaContext, a: Sequence[int]) -> bool:
 def oracle_canonical(ctx: LambdaContext, a: Sequence[int]) -> tuple[DimVector, ...]:
     """The p-sum-maximizing multiset of Sigma members, by full enumeration.
 
-    Raises NonUniqueMaximizer if more than one multiset attains the
+    Raises InternalInconsistency if more than one multiset attains the
     maximum, and ResourceLimit through the underlying box scan. The
     maximum is sanity-checked against the unrestricted maximum over all
     orthogonal-root decompositions.
@@ -242,7 +242,7 @@ def oracle_canonical(ctx: LambdaContext, a: Sequence[int]) -> tuple[DimVector, .
         if sum(p_form(ctx.quiver, part) for part in dec) == overall
     ]
     if len(winners) != 1:
-        raise NonUniqueMaximizer(
+        raise InternalInconsistency(
             f"{len(winners)} maximizing Sigma multisets for {a!r}; expected exactly one"
         )
     return winners[0]

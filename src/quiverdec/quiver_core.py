@@ -115,6 +115,13 @@ class Quiver:
 # -- vector constructors ---------------------------------------------------
 
 
+def _check_len(q: Quiver, a: Sequence) -> Sequence:
+    """``a`` itself, when it has one entry per vertex of ``q``; else DimensionMismatch."""
+    if len(a) != q.n:
+        raise DimensionMismatch(f"expected {q.n} entries, got {len(a)}")
+    return a
+
+
 def integer_entries(entries: Iterable[int]) -> DimVector:
     """Freeze entries as ints; an entry that is not an integer raises ValueError."""
     entries = tuple(entries)
@@ -127,18 +134,13 @@ def integer_entries(entries: Iterable[int]) -> DimVector:
 
 def dim_vector(q: Quiver, entries: Iterable[int]) -> DimVector:
     """Validate and freeze an integer vector indexed by ``q``'s vertices."""
-    vec = integer_entries(entries)
-    if len(vec) != q.n:
-        raise DimensionMismatch(f"expected {q.n} entries, got {len(vec)}")
-    return vec
+    return _check_len(q, integer_entries(entries))
 
 
 def weight_vector(q: Quiver, entries: Iterable) -> WeightVector:
     """Validate and freeze an exact rational weight indexed by ``q``'s vertices; strings via parse_rational."""
-    vec = tuple(e if type(e) is Fraction else parse_rational(e) if isinstance(e, str) else Fraction(e) for e in entries)
-    if len(vec) != q.n:
-        raise DimensionMismatch(f"expected {q.n} entries, got {len(vec)}")
-    return vec
+    entries = (e if type(e) is Fraction else parse_rational(e) if isinstance(e, str) else Fraction(e) for e in entries)
+    return _check_len(q, tuple(entries))
 
 
 def zero_vector(q: Quiver) -> DimVector:
@@ -149,11 +151,6 @@ def coordinate_vector(q: Quiver, vertex: str) -> DimVector:
     """The coordinate dimension vector supported at one vertex."""
     i = q.index(vertex)
     return tuple(1 if j == i else 0 for j in range(q.n))
-
-
-def _check_len(q: Quiver, a: Sequence) -> None:
-    if len(a) != q.n:
-        raise DimensionMismatch(f"vector of length {len(a)} on quiver with {q.n} vertices")
 
 
 # -- forms -----------------------------------------------------------------

@@ -14,6 +14,9 @@ transformed pair, and asserts what theory says must agree:
   the orthogonal roots and keeps p (Crawley-Boevey, Compositio 2001), so each
   term maps by the same reflection, with the same multiplicity, class, p and
   factor, and the norm stays.
+- ``disjoint_union``: join two pairs on vertices renamed apart. A root has
+  connected support, so it lies in one part, and p adds over the parts; the
+  union's terms are the parts' terms padded with zeros, and the norms add.
 
 A vector outside the additive closure must stay outside it. A cap refusal is a
 bounded answer, not a wrong one: a relation with a refusal on either side
@@ -22,6 +25,10 @@ compared, "answer", "non-member" or "refused", so a test can assert its case
 mix; ``reflect`` also returns the vertex it reflected at, if any. The caps are
 the caller's, so a test of a faster path can run the same relations at the
 sizes it reaches.
+
+``closed_form`` needs no second run: on an extended Dynkin quiver, at a weight
+with weight . delta = 0, the imaginary roots are the k * delta, each with p = 1,
+so no decomposition of m * delta has a p-sum above m, and only m x delta reaches it.
 """
 
 from __future__ import annotations
@@ -103,3 +110,34 @@ def reflect(q, weight, vector, caps, rng: random.Random) -> tuple[str, str | Non
     v = rng.choice(landing)
     after = outcome(q, images[v].weight, images[v].dim, caps)
     return _compare(before, after, lambda sigma: qd.simple_reflection(q, v, sigma)), v
+
+
+def disjoint_union(first, second, caps) -> str:
+    """The report of two pairs (quiver, weight, vector) joined on vertices renamed apart, against the parts'."""
+    vertices, arrows = [], []
+    for k, (q, _, _) in enumerate((first, second)):
+        vertices += [f"{k}:{v}" for v in q.vertices]
+        arrows += [[f"{k}:{t}", f"{k}:{h}"] for t, h in q.arrows]
+    parts = [outcome(*first, caps), outcome(*second, caps)]
+    after = outcome(qd.Quiver(vertices, arrows), [*first[1], *second[1]], [*first[2], *second[2]], caps)
+    if "refused" in map(_kind, parts + [after]):
+        return "refused"
+    assert (_kind(after) == "non-member") == ("non-member" in map(_kind, parts)), (parts, after)
+    if _kind(after) == "answer":
+        left, right = (0,) * first[0].n, (0,) * second[0].n
+        assert _terms(after) == _terms(parts[0], lambda sigma: sigma + right) + _terms(parts[1], lambda sigma: left + sigma)
+        assert after.decomposition.norm == sum(part.decomposition.norm for part in parts)
+        assert after.to_json_dict()["dimension"] == sum(part.to_json_dict()["dimension"] for part in parts)
+    return _kind(after)
+
+
+def closed_form(name: str, m: int, weight, caps) -> None:
+    """Assert that m * delta on the extended Dynkin quiver ``name``, at a weight with weight . delta = 0, is m x delta."""
+    q = qd.extended_dynkin_quiver(name)
+    delta = qd.classify_shape(q).delta
+    report = qd.product_structure_report(qd.LambdaContext(q, weight, caps), [m * x for x in delta])
+    assert report.decomposition.terms == (qd.Term(delta, m, qd.RootClass.ISOTROPIC_IMAGINARY, 1),)
+    assert [f.describe() for f in report.factors] == [f"Kleinian({name})"]
+    assert report.to_json_dict()["dimension"] == 2 * m
+    lam, vec = (",".join(map(str, v)) for v in (map(Fraction, weight), delta))
+    assert report.formula == (f"S^{m} " if m > 1 else "") + f"N(({lam}),({vec}))"

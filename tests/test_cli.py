@@ -121,6 +121,7 @@ CAP_SETTINGS = [("--max-box", "QUIVERDEC_MAX_BOX"), ("--max-sum", "QUIVERDEC_MAX
 def test_commands_that_enumerate_no_box_take_no_cap(capsys, monkeypatch, argv, flag, env, value):
     rc, out, err = run(capsys, *argv, flag, value)
     assert (rc, out) == (2, "") and f"error: unrecognized arguments: {flag} {value}" in err
+    assert err.startswith(f"usage: quiverdec {argv[0]} ")
     assert "Traceback" not in err
     monkeypatch.setenv(env, value)  # not read
     assert run(capsys, *argv)[0] == 0

@@ -6,7 +6,7 @@ import pytest
 import quiverdec as qd
 from corpus import build_corpus
 from quiverdec import oracle
-from quiverdec.errors import NotInNRLambdaPlus, ResourceLimit
+from quiverdec.errors import InternalInconsistency, NotInNRLambdaPlus, ResourceLimit
 
 EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
 EX4_WEIGHT = (0, 1, -2, 1)
@@ -67,6 +67,14 @@ def test_oracle_canonical_examples():
     assert oracle.oracle_canonical(kron0, (0, 0)) == ()
     with pytest.raises(NotInNRLambdaPlus):
         oracle.oracle_canonical(ctx4, (0, 0, 1, 2))
+
+
+def test_oracle_canonical_refuses_two_maximizers_as_an_internal_inconsistency(monkeypatch):
+    kron0 = qd.LambdaContext(KRONECKER, (0, 0))
+    canonical = oracle.oracle_canonical(kron0, (2, 3))
+    monkeypatch.setattr(oracle, "enumerate_sigma_decompositions", lambda ctx, a: [canonical, canonical])
+    with pytest.raises(InternalInconsistency, match="2 maximizing Sigma multisets"):
+        oracle.oracle_canonical(kron0, (2, 3))
 
 
 def test_sigma_member_matches_main():
