@@ -69,11 +69,10 @@ def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomp
     p-sum agrees with the norm over all orthogonal-root decompositions,
     and that multiplicities above one only occur on terms with p <= 1;
     any violation raises InternalInconsistency. Runs on the pair that
-    ``ctx.resolve`` gives. Each term's p is read from the Sigma table and
-    fixes its class; after a descent the term is reflected back along the
-    reversed descent, which keeps both.
+    ``ctx.resolve`` gives: ``a`` validated, or its descent. Each term's p is
+    read from the Sigma table and fixes its class; after a descent the term
+    is reflected back along the reversed descent, which keeps both.
     """
-    a = dim_vector(ctx.quiver, a)
     low, b, seq = ctx.resolve(a)
     table = _table_at(low, "sigma", b)
     best, count = table[b], table.count(b)
@@ -96,7 +95,7 @@ def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomp
             sigma = simple_reflection(ctx.quiver, vertex, sigma)
         terms.append(Term(sigma, mult, _CLASS_BY_P[min(p, 2)], p))
     terms.sort(key=lambda t: (-t.p_value, t.sigma))
-    return CanonicalDecomposition(tuple(terms), a, best)
+    return CanonicalDecomposition(tuple(terms), dim_vector(ctx.quiver, a) if seq else b, best)
 
 
 def dimension_of_N(ctx: LambdaContext, a: Sequence[int]) -> int:
@@ -203,14 +202,17 @@ def product_structure_report(ctx: LambdaContext, a: Sequence[int]) -> ProductRep
     Real terms contribute points and are rendered once as a trailing
     "point"; isotropic terms come with symmetric powers and an ADE label;
     non-isotropic terms are single unsymmetrized blocks. The empty
-    decomposition renders "point".
+    decomposition renders "point". The weight's text and each label are
+    computed once per context and kept on it.
     """
     decomposition = canonical_decompose(ctx, a)
-    lam_str = _format_weight(ctx.weight)
-    factors, pieces = [], []
+    lam_str = ctx._weight_text = ctx._weight_text or _format_weight(ctx.weight)
+    factors, pieces, labels = [], [], ctx._labels
     for term in decomposition.terms:
         kind = _FACTOR_KINDS[term.root_class]
-        label = kleinian_label(ctx, term.sigma) if kind == "Kleinian" else None
+        if kind == "Kleinian" and term.sigma not in labels:
+            labels[term.sigma] = kleinian_label(ctx, term.sigma)
+        label = labels[term.sigma] if kind == "Kleinian" else None
         factors.append(Factor(term.sigma, term.multiplicity, kind, label, 2 * term.multiplicity * term.p_value))
         if kind != "Point":
             power_str = f"S^{term.multiplicity} " if term.multiplicity > 1 else ""

@@ -35,7 +35,7 @@ from .root_system import _roots_with_p, classify_root
 
 
 def _below(a: Sequence[int], b: Sequence[int]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 class BoxTable:
@@ -64,6 +64,7 @@ class BoxTable:
                 self._count += [0] * (len(self._count) * bound[i])
         self.items: dict[DimVector, int] = {}
         self.splits: dict[DimVector, int | None] = {}
+        self._offsets: list[tuple[DimVector, int, int]] = []  # witness's (item, cell offset, p), in ``items`` order
 
     def _index(self, a: Sequence[int]) -> int:
         return sum(map(mul, a, self._strides))
@@ -97,14 +98,16 @@ class BoxTable:
         """One multiset of the added items attaining the best at ``a``, taking the first added that continues one.
 
         Walks cell indices: a try reads the cell its item's index offset lower; only a match checks the item fits.
+        The offsets are kept, and rebuilt once ``items`` has grown, by ``add`` or by a seed's entry written directly.
         """
         best, cell, parts = self._best, self._index(a), []
         if best[cell] is None:
             raise InternalInconsistency(f"no multiset of the added items sums to {a!r}")
-        offsets = [(item, self._index(item), p) for item, p in self.items.items()]
+        if len(self._offsets) != len(self.items):
+            self._offsets = [(item, self._index(item), p) for item, p in self.items.items()]
         while cell:
             target = best[cell]
-            for item, shift, p in offsets:
+            for item, shift, p in self._offsets:
                 if (rest := cell - shift) >= 0 and best[rest] == target - p and all(map(le, item, a)):
                     parts.append(item)
                     a, cell = tuple(map(sub, a, item)), rest
@@ -120,8 +123,10 @@ class LambdaContext:
     The context classifies one box, grown to cover each bound asked about,
     with its Sigma and norm tables. Only over-cap vectors keep their
     resolution per vector, and the reduced contexts they descend to are kept
-    per weight. A context is safe to use from one thread at a time; distinct
-    contexts are fully independent.
+    per weight. A warm context keeps its reports' Kleinian labels and weight
+    text, and its tables their witness offsets: a query inside the box
+    validates once, resolves at once and reads its cells. A context is safe
+    to use from one thread at a time; distinct contexts are fully independent.
     """
 
     def __init__(self, quiver: Quiver, weight: Iterable, caps: Caps = DEFAULT_CAPS):
@@ -136,6 +141,8 @@ class LambdaContext:
         self._tables: dict[str, BoxTable] = {}
         self._reduced: dict[WeightVector, LambdaContext] = {}  # where over-cap vectors descend, by weight
         self._over: dict[DimVector, tuple[LambdaContext, DimVector, tuple[str, ...]]] = {}  # resolved over-cap
+        self._labels: dict[DimVector, str] = {}  # product_structure_report's, by isotropic Sigma member
+        self._weight_text: str | None = None  # product_structure_report's rendering of the weight
 
     def _cover(self, bound: DimVector) -> None:
         """Classify a box containing ``bound``, the join with the old box if it fits the caps.
@@ -169,15 +176,18 @@ class LambdaContext:
     def resolve(self, a: Sequence[int]) -> tuple[LambdaContext, DimVector, tuple[str, ...]]:
         """(context, vector, reflections) that a vector query on ``a`` runs on, the box covering it.
 
-        Itself, ``a`` and () when the caps admit a box containing ``a``; else the pair's admissible
-        descent, which keeps orthogonal roots and p, on the context kept for its reduced weight;
-        that triple is kept per vector, as no box of the caps ever covers it. NotInNRLambdaPlus for
-        a negative entry, given or reached, or a descent with no step from a vector not orthogonal
-        to the weight; any other descent with no step, as at weight 0, re-raises the caps' refusal.
+        Itself, ``a`` and () when the caps admit a box containing ``a``, at once if the classified box
+        does (a box within the caps holds no over-cap vector); else the pair's admissible descent,
+        which keeps orthogonal roots and p, on the context kept for its reduced weight; that triple
+        is kept per vector, as no box of the caps ever covers it. NotInNRLambdaPlus for a negative
+        entry, given or reached, or a descent with no step from a vector not orthogonal to the
+        weight; any other descent with no step, as at weight 0, re-raises the caps' refusal.
         """
         a = dim_vector(self.quiver, a)
-        if any(e < 0 for e in a):
+        if min(a, default=0) < 0:
             raise NotInNRLambdaPlus(f"{a!r} has a negative entry")
+        if _below(a, self._bound):
+            return self, a, ()
         if a not in self._over:
             try:
                 self._cover(a)

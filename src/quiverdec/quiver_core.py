@@ -133,7 +133,9 @@ def integer_entries(entries: Iterable[int]) -> DimVector:
 
 
 def dim_vector(q: Quiver, entries: Iterable[int]) -> DimVector:
-    """Validate and freeze an integer vector indexed by ``q``'s vertices."""
+    """Validate and freeze an integer vector indexed by ``q``'s vertices; a valid one, a tuple of ints, comes back as is."""
+    if type(entries) is tuple and len(entries) == q.n and {*map(type, entries)} == {int}:
+        return entries
     return _check_len(q, integer_entries(entries))
 
 

@@ -249,25 +249,61 @@ def test_engine_matches_oracle(q, lam, vectors):
 def _answers(ctx, a):
     member = qd.in_N_R_lambda_plus(ctx, a)
     canonical = qd.canonical_decompose(ctx, a).multiset() if member else None
-    return _engine_answers(ctx, a) + (canonical,)
+    report = qd.product_structure_report(ctx, a).to_json_dict() if member else None
+    return _engine_answers(ctx, a) + (canonical, report)
 
 
-@pytest.mark.parametrize(
-    "q, lam, box",
-    [
-        (EX4, EX4_WEIGHT, (2, 4, 3, 2)),
-        (D4, (1, -1, 0, 1, -1), (2, 2, 2, 2, 2)),
-        (qd.extended_dynkin_quiver("A2"), (0, 0, 0), (3, 3, 3)),
-        (qd.Quiver(["0", "1"], [["0", "1"]] * 3), (0, 0), (4, 4)),
-    ],
-    ids=["ex4-paper", "D4-lam", "A2-zero", "3-kronecker-zero"],
-)
-def test_shared_memo_is_order_independent(q, lam, box):
+def _answers_or_refusal(ctx, a):
+    """The answers to ``a``, or the type and message of the error that refuses it."""
+    try:
+        return _answers(ctx, a)
+    except qd.QuiverdecError as exc:
+        return type(exc), str(exc)
+
+
+# (quiver, weight, box, vectors outside the box: over the caps, or with a negative entry)
+SHARED_CONTEXTS = [
+    (EX4, EX4_WEIGHT, (2, 4, 3, 2), [(4, 12, 8, 4), (9, 9, 9, 0), (-1, 2, 3, 2), (1, 1, 1, -1)]),
+    (D4, (1, -1, 0, 1, -1), (2, 2, 2, 2, 2), [(6, 6, 6, 6, 6), (2, 2, -2, 2, 2)]),
+    (qd.extended_dynkin_quiver("A2"), (0, 0, 0), (3, 3, 3), [(9, 9, 9), (0, -1, 3)]),
+    (qd.Quiver(["0", "1"], [["0", "1"]] * 3), (0, 0), (4, 4), [(16, 16), (4, -4)]),
+    (qd.Quiver(["a", "b", "c"], [["a", "a"], ["a", "b"], ["b", "c"], ["b", "c"]]), (1, -1, 1), (3, 3, 3),
+     [(9, 9, 9), (3, -1, 3)]),  # two isotropic members, labelled A0 and A1
+]
+SHARED_IDS = ["ex4-paper", "D4-lam", "A2-zero", "3-kronecker-zero", "loop-kronecker-lam"]
+
+
+@pytest.mark.parametrize("q, lam, box, outside", SHARED_CONTEXTS, ids=SHARED_IDS)
+def test_shared_memo_is_order_independent(q, lam, box, outside):
+    # every answer on one context, reports and their labels included, in box order, reversed and
+    # shuffled, with the outside vectors at seeded places, equals the answer of a fresh context
     vectors = list(iter_box(box))
-    fresh = {a: _answers(qd.LambdaContext(q, lam), a) for a in vectors}
-    for order in (vectors, vectors[::-1]):
+    fresh = {a: _answers_or_refusal(qd.LambdaContext(q, lam), a) for a in vectors + outside}
+    rng = random.Random(20261020)
+    for order in (vectors, vectors[::-1], rng.sample(vectors, len(vectors))):
+        order = list(order)
+        for a in outside:
+            order.insert(rng.randrange(len(order) + 1), a)
         ctx = qd.LambdaContext(q, lam)
-        assert {a: _answers(ctx, a) for a in order} == fresh
+        assert {a: _answers_or_refusal(ctx, a) for a in order} == fresh
+
+
+@pytest.mark.parametrize("q, lam, box", [c[:3] for c in SHARED_CONTEXTS[:2]], ids=SHARED_IDS[:2])
+def test_warm_queries_inside_the_box_do_no_box_work(monkeypatch, q, lam, box):
+    # once a box and both its tables are built, no query inside it enumerates roots, descends or
+    # builds a table; its answers equal another context's
+    ctx = qd.LambdaContext(q, lam)
+    ctx.sigma_table(box), ctx.norm_table(box)
+    other = qd.LambdaContext(q, lam)
+    expected = {a: _answers(other, a) for a in iter_box(box)}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("box work on a warm query")
+
+    monkeypatch.setattr(lambda_roots, "_roots_with_p", refuse)
+    monkeypatch.setattr(lambda_roots, "descend", refuse)
+    monkeypatch.setattr(BoxTable, "__init__", refuse)
+    assert {a: _answers(ctx, a) for a in iter_box(box)} == expected
 
 
 def test_sigma_query_between_two_boxes():

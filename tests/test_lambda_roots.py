@@ -7,6 +7,7 @@ import pytest
 import quiverdec as qd
 from corpus import build_corpus, table_cells
 from quiverdec.errors import InternalInconsistency, NotInNRLambdaPlus
+from quiverdec.lambda_roots import BoxTable
 
 EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
 EX4_WEIGHT = (0, 1, -2, 1)
@@ -257,3 +258,18 @@ def test_witness_by_cell_index_matches_the_walk_by_tuples_at_every_corpus_cell()
                     assert table.witness(a) == _witness_by_tuples(table, a), (q, lam, a)
                     reached += 1
     assert reached >= 2000
+
+
+
+def test_witness_offsets_follow_items_as_they_grow():
+    # witness keeps its item offsets; an item added, or a seed's entry written into items as
+    # LambdaContext._table writes it, is seen by the next call
+    table = BoxTable((2, 3), seeds=[0])
+    with pytest.raises(InternalInconsistency):
+        table.witness((2, 0))
+    table.items[(1, 0)] = 0
+    assert table.witness((2, 0)) == ((1, 0), (1, 0))
+    table.add((0, 1), 1)
+    assert table.witness((1, 3)) == ((1, 0), (0, 1), (0, 1), (0, 1)) == _witness_by_tuples(table, (1, 3))
+    table.add((0, 3), 5)
+    assert table.witness((1, 3)) == ((1, 0), (0, 3)) == _witness_by_tuples(table, (1, 3))

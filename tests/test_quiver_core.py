@@ -2,6 +2,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -83,6 +84,23 @@ def test_dim_vector_rejects_non_integral_entries():
         qd.product_structure_report(qd.LambdaContext(KRONECKER, (0, 0)), (1.9, 1.2))
     with pytest.raises(ValueError, match="0.5"):
         qd.classify_root(KRONECKER, (0.5, 1))
+
+
+def test_dim_vector_returns_a_plain_int_tuple_as_it_is_and_converts_the_rest():
+    class Pair(NamedTuple):
+        x: int
+        y: int
+
+    vec = (3, 10**30)
+    assert qd.dim_vector(A2, vec) is vec
+    for entries in ([2, 1], Pair(2, 1), (2, True), (2.0, 1), (Fraction(4, 2), 1), (x for x in (2, 1))):
+        got = qd.dim_vector(A2, entries)
+        assert got == (2, 1) and type(got) is tuple and all(type(x) is int for x in got), entries
+    for entries in ((1, 2, 3), [1], ()):
+        with pytest.raises(DimensionMismatch, match=f"^expected 2 entries, got {len(entries)}$"):
+            qd.dim_vector(A2, entries)
+    with pytest.raises(ValueError, match="^entry 1.5 is not an integer$"):
+        qd.dim_vector(A2, (1, 1.5))
 
 
 def test_quiver_validation():
