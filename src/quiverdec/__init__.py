@@ -34,7 +34,6 @@ from .decomposer import (
     sigma_maximizer_count,
 )
 from .errors import (
-    BudgetExhausted,
     DimensionMismatch,
     InadmissibleStep,
     InternalInconsistency,

@@ -16,7 +16,7 @@ class ResourceLimit(QuiverdecError):
 
 
 class InvalidCaps(QuiverdecError, ValueError):
-    """A resource cap is not a positive integer; the command line exits 2."""
+    """A resource cap or a search budget is not a positive integer; the command line exits 2."""
 
 
 class NotInNRLambdaPlus(QuiverdecError, ValueError):
@@ -48,14 +48,3 @@ class InadmissibleStep(QuiverdecError, ValueError):
             f"reflection at vertex {vertex!r} (step {position}) is not admissible"
         )
 
-
-class BudgetExhausted(QuiverdecError):
-    """A bounded search ran out of budget before exploring every state.
-
-    Carries the best state found so far in ``best`` so callers may degrade
-    gracefully instead of failing outright.
-    """
-
-    def __init__(self, message: str, best=None):
-        self.best = best
-        super().__init__(message)

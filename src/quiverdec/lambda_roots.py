@@ -177,11 +177,11 @@ class LambdaContext:
         """(context, vector, reflections) that a vector query on ``a`` runs on, the box covering it.
 
         Itself, ``a`` and () when the caps admit a box containing ``a``, at once if the classified box
-        does (a box within the caps holds no over-cap vector); else the pair's admissible descent,
-        which keeps orthogonal roots and p, on the context kept for its reduced weight; that triple
-        is kept per vector, as no box of the caps ever covers it. NotInNRLambdaPlus for a negative
-        entry, given or reached, or a descent with no step from a vector not orthogonal to the
-        weight; any other descent with no step, as at weight 0, re-raises the caps' refusal.
+        does (a box within the caps holds no over-cap vector). Over the caps, NotInNRLambdaPlus for
+        a vector not orthogonal to the weight, with no box and no descent; else the pair's admissible
+        descent, which keeps orthogonal roots and p, on the context kept for its reduced weight; that
+        triple is kept per vector, as no box of the caps ever covers it. NotInNRLambdaPlus for a
+        negative entry, given or reached; a descent with no step, as at weight 0, re-raises the refusal.
         """
         a = dim_vector(self.quiver, a)
         if min(a, default=0) < 0:
@@ -193,10 +193,10 @@ class LambdaContext:
                 self._cover(a)
                 return self, a, ()
             except ResourceLimit:
+                if sum(map(mul, self._scaled, a)):
+                    raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots") from None
                 state, seq = descend(self.quiver, PairState(self.weight, a))
                 if not seq:
-                    if sum(map(mul, self._scaled, a)):
-                        raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots") from None
                     raise
             if min(state.dim) < 0:
                 along = ",".join(seq) if len(seq) <= 64 else f"{','.join(seq[:8])},… ({len(seq)} reflections)"

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import BudgetExhausted, InadmissibleStep
+from .errors import InadmissibleStep, InvalidCaps
 from .quiver_core import (
     DimVector,
     Quiver,
@@ -26,7 +26,7 @@ from .quiver_core import (
     weight_to_json_list,
     weight_vector,
 )
-from .root_system import _descent, _in_fundamental, simple_reflection
+from .root_system import _descent, _in_fundamental, _loopfree_index, simple_reflection
 
 
 class PairState(NamedTuple):
@@ -46,9 +46,7 @@ def make_pair(q: Quiver, weight: Iterable, dim: Iterable[int]) -> PairState:
 def dual_reflection(q: Quiver, vertex: str, lam: Sequence) -> WeightVector:
     """Reflect a weight at a loopfree vertex; dual to the simple reflection."""
     lam = weight_vector(q, lam)
-    if not q.is_loopfree(vertex):
-        raise ValueError(f"cannot reflect at vertex {vertex!r}: it carries a loop")
-    i = q.index(vertex)
+    i = _loopfree_index(q, vertex)
     row = q.cartan_matrix()[i]
     return tuple(x - row[j] * lam[i] for j, x in enumerate(lam))
 
@@ -98,11 +96,11 @@ def _integer_weight(lam: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
 class _OrbitSearch:
     """Breadth-first search of the admissible class of a pair, on flat states L * weight then dim.
 
-    Admits at most ``budget`` states, the start included, with exact-state
-    deduplication, and hands out their indices into ``states`` in BFS order;
-    :meth:`sequence` rebuilds a shortest sequence from the parent links on
-    demand. ``truncated`` records whether an admission was refused; after the
-    first refusal the search stops expanding and hands out only admitted states.
+    Admits at most ``budget`` states (a positive int, else InvalidCaps), the start
+    included, with exact-state deduplication, and hands out their indices into
+    ``states`` in BFS order; :meth:`sequence` rebuilds a shortest sequence from the
+    parent links on demand. ``truncated`` records whether an admission was refused;
+    after the first refusal the search stops expanding and hands out only admitted states.
 
     The start tries every move (``tries[0]``); a state reached by the move at i
     tries ``tries[i + 1]``, which skips the move back and every j < i with
@@ -112,11 +110,13 @@ class _OrbitSearch:
     """
 
     def __init__(self, q: Quiver, pair: PairState, budget: int):
-        self.start = make_pair(q, pair.weight, pair.dim)
-        self.scale, weight = _integer_weight(self.start.weight)  # both moves are linear in the weight
+        if isinstance(budget, bool) or not isinstance(budget, int) or budget <= 0:  # as Caps checks a cap
+            raise InvalidCaps(f"budget must be a positive integer, got {budget!r}")
+        start = make_pair(q, pair.weight, pair.dim)
+        self.scale, weight = _integer_weight(start.weight)  # both moves are linear in the weight
         self.vertices, self.n = q.vertices, q.n
-        self.budget, self.truncated = budget, budget <= 0
-        self.states = [] if self.truncated else [weight + self.start.dim]
+        self.budget, self.truncated = budget, False
+        self.states = [weight + start.dim]
         self.parent, self.via = [-1], [-1]
         self.tries = [[move for move in q._moves if (j := move[0]) > i or j != i and q.cartan_matrix()[i][j]]
                       for i in range(-1, self.n)]
@@ -166,13 +166,9 @@ def normalize_pair(q: Quiver, pair: PairState, budget: int = 100_000) -> Normali
     dimension vector, then on the order of discovery. The result is minimal
     among the states admitted and is flagged ``exhaustive`` only when no
     admission was refused: the class is infinite for many quivers, so
-    global minimality is only certified by that flag. A non-positive budget
-    cannot admit even the input and raises
-    :class:`~quiverdec.errors.BudgetExhausted` carrying it.
+    global minimality is only certified by that flag.
     """
     search = _OrbitSearch(q, pair, budget)
-    if budget <= 0:
-        raise BudgetExhausted("budget of 0 states cannot explore anything", NormalizedPair(search.start, (), False))
     best = min(search, key=lambda k: (sum(dim := search.states[k][search.n:]), dim))
     return NormalizedPair(search.pair(search.states[best]), search.sequence(best), not search.truncated)
 

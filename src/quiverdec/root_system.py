@@ -47,12 +47,17 @@ class RootClass(Enum):
         return self in (RootClass.ISOTROPIC_IMAGINARY, RootClass.NONISOTROPIC_IMAGINARY)
 
 
+def _loopfree_index(q: Quiver, vertex: str) -> int:
+    """The index of ``vertex``, where both reflections act; ValueError where it carries a loop."""
+    if not q.is_loopfree(vertex):
+        raise ValueError(f"cannot reflect at vertex {vertex!r}: it carries a loop")
+    return q.index(vertex)
+
+
 def simple_reflection(q: Quiver, vertex: str, a: Sequence[int]) -> DimVector:
     """Reflect at a loopfree vertex; an involution preserving q and p."""
     a = dim_vector(q, a)
-    if not q.is_loopfree(vertex):
-        raise ValueError(f"cannot reflect at vertex {vertex!r}: it carries a loop")
-    i = q.index(vertex)
+    i = _loopfree_index(q, vertex)
     c = pairing_with_simple(q, a, vertex)
     return tuple(e - c if j == i else e for j, e in enumerate(a))
 

@@ -231,8 +231,11 @@ def test_over_cap_decompose_answers_after_descent(capsys):
         "  4 x (1, 3, 2, 1)  class=Real  p=0  factor=Point",
         "formula: point",
     ]
+    # (1,0,8,16) is orthogonal to the weight and descends to a negative entry; (0,30,0,0) is not orthogonal
+    rc, out, err = run(capsys, "decompose", "--quiver", EX4, "--lambda", "0,1,-2,1", "--alpha", "1,0,8,16")
+    assert (rc, out, err) == (1, "", "error: (1, 0, 8, 16) reflects along 4 to (1, 0, 8, -8)\n")
     rc, out, err = run(capsys, "decompose", "--quiver", EX4, "--lambda", "0,1,-2,1", "--alpha", "0,30,0,0")
-    assert rc == 1 and out == "" and "(0, -30, 0, 0)" in err
+    assert (rc, out, err) == (1, "", "error: (0, 30, 0, 0) is not a sum of orthogonal positive roots\n")
     rc, out, err = run(capsys, "decompose", "--quiver", EX4, "--lambda", "0,0,0,0", "--alpha", "4,12,8,4")
     assert rc == 3 and out == "" and "(max_bound_sum, QUIVERDEC_MAX_SUM, --max-sum)" in err
 
@@ -420,7 +423,8 @@ def test_a_reader_that_closes_at_once_gets_exit_1_and_no_traceback(unbuffered):
 
 
 def test_a_long_descent_to_a_negative_entry_prints_a_short_error(capsys):
-    rc, out, err = run(capsys, "decompose", "--quiver", KRONECKER, "--lambda", "1,-1", "--alpha", "20000,20001")
+    # (20001,19999) is orthogonal to (19999,-20001), so it descends
+    rc, out, err = run(capsys, "decompose", "--quiver", KRONECKER, "--lambda", "19999,-20001", "--alpha", "20001,19999")
     assert (rc, out) == (1, "")
-    assert len(err.encode()) < 1024 and err.startswith("error: (20000, 20001) reflects along 1,0,1,0,")
-    assert err.endswith(",… (20001 reflections) to (0, -1)\n")
+    assert len(err.encode()) < 1024 and err.startswith("error: (20001, 19999) reflects along 0,1,0,1,")
+    assert err.endswith(",… (10000 reflections) to (1, -1)\n")

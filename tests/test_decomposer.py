@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -6,8 +7,9 @@ import pytest
 
 import quiverdec as qd
 from corpus import _orthogonal_weight, build_corpus
-from quiverdec import PairState, RootClass, apply_sequence
-from quiverdec.errors import NotInNRLambdaPlus, SumMismatch
+from quiverdec import PairState, RootClass, apply_sequence, decomposer
+from quiverdec.errors import InternalInconsistency, NotInNRLambdaPlus, SumMismatch
+from quiverdec.lambda_roots import BoxTable
 
 EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
 EX4_WEIGHT = (0, 1, -2, 1)
@@ -175,12 +177,31 @@ def test_over_cap_pair_decomposed_after_descent():
 
 
 def test_over_cap_pair_descending_to_a_negative_entry_is_not_a_member():
+    # (1,0,8,16) is orthogonal to the weight, of entry sum 25; (0,30,0,0) is not orthogonal, so it does not descend
     ctx = qd.LambdaContext(EX4, EX4_WEIGHT)
-    with pytest.raises(NotInNRLambdaPlus, match=r"reflects along 2 to \(0, -30, 0, 0\)"):
-        qd.canonical_decompose(ctx, (0, 30, 0, 0))
+    with pytest.raises(NotInNRLambdaPlus, match=r"reflects along 4 to \(1, 0, 8, -8\)"):
+        qd.canonical_decompose(ctx, (1, 0, 8, 16))
     with pytest.raises(NotInNRLambdaPlus):
-        qd.norm_lambda(ctx, (0, 30, 0, 0))
-    assert not qd.in_N_R_lambda_plus(ctx, (0, 30, 0, 0))
+        qd.norm_lambda(ctx, (1, 0, 8, 16))
+    assert not qd.in_N_R_lambda_plus(ctx, (1, 0, 8, 16))
+    with pytest.raises(NotInNRLambdaPlus, match=r"^\(0, 30, 0, 0\) is not a sum of orthogonal positive roots$"):
+        qd.canonical_decompose(ctx, (0, 30, 0, 0))
+
+
+TWO_LOOPS = qd.Quiver(["0"], [["0", "0"], ["0", "0"]])  # (1,) is a Sigma member with p = 2 at weight 0
+
+
+@pytest.mark.parametrize("owner, name, broken, message", [
+    (BoxTable, "count", lambda table, a: 2, "2 maximizing multisets for (1,); expected exactly one"),
+    (decomposer, "norm_lambda", lambda ctx, a: 3, "maximal p-sum over Sigma multisets (2) disagrees with the norm"),
+    (BoxTable, "witness", lambda table, a: ((1,), (1,)), "non-isotropic term (1,) appears with multiplicity 2"),
+], ids=["two-maximizers", "sigma-best-off-the-norm", "non-isotropic-twice"])
+def test_canonical_decompose_refuses_a_broken_guarantee(monkeypatch, owner, name, broken, message):
+    ctx = qd.LambdaContext(TWO_LOOPS, (0,))
+    assert qd.canonical_decompose(ctx, (1,)).terms == (qd.Term((1,), 1, RootClass.NONISOTROPIC_IMAGINARY, 2),)
+    monkeypatch.setattr(owner, name, broken)
+    with pytest.raises(InternalInconsistency, match=f"^{re.escape(message)}$"):
+        qd.canonical_decompose(qd.LambdaContext(TWO_LOOPS, (0,)), (1,))
 
 
 def test_over_cap_pair_at_weight_zero_is_still_refused():

@@ -17,6 +17,7 @@ quivers, where the oracle still enumerates quickly.
 """
 
 import itertools
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -763,17 +764,17 @@ def test_reduced_membership_and_norm_match_the_direct_path(q, lam, box, sigma_me
 
 
 def test_over_cap_queries_reuse_the_reduced_context():
-    # one reduced context per reduced weight, grown by joins: (3,10,7,5), (3,11,7,5) and (3,11,7,6)
-    # descend along 2,1,3,4 to (2,5,3,3), (1,4,2,1) and (2,5,4,3); (4,12,8,4) to (0,0,0,4) elsewhere
+    # one reduced context per reduced weight, grown by joins: the orthogonal (5,6,7,8), (4,6,7,8) and
+    # (4,7,8,9) descend along 4,3 to (5,6,4,5), (4,6,4,5) and (4,7,5,6); (4,12,8,4) to (0,0,0,4) elsewhere
     ctx = qd.LambdaContext(EX4, EX4_WEIGHT)
     direct = qd.LambdaContext(EX4, EX4_WEIGHT, qd.Caps(max_bound_sum=30))
-    low, dim, seq = ctx.resolve((3, 10, 7, 5))
-    assert (dim, seq, low._bound) == ((2, 5, 3, 3), ("2", "1", "3", "4"), (2, 5, 3, 3))
-    for alpha in ((3, 10, 7, 5), (3, 11, 7, 5), (3, 11, 7, 6), (4, 12, 8, 4), (3, 10, 7, 5), (4, 12, 8, 4)):
+    low, dim, seq = ctx.resolve((5, 6, 7, 8))
+    assert (dim, seq, low._bound) == ((5, 6, 4, 5), ("4", "3"), (5, 6, 4, 5))
+    for alpha in ((5, 6, 7, 8), (4, 6, 7, 8), (4, 7, 8, 9), (4, 12, 8, 4), (5, 6, 7, 8), (4, 12, 8, 4)):
         reduced = ctx.resolve(alpha)[0]
         assert ctx.resolve(alpha)[0] is reduced is ctx._reduced[reduced.weight], alpha
         assert _answers(ctx, alpha) == _answers(direct, alpha), alpha
-    assert ctx.resolve((3, 11, 7, 5))[0] is low and low._bound == (2, 5, 4, 3)
+    assert ctx.resolve((4, 6, 7, 8))[0] is low and low._bound == (5, 7, 5, 6)
     assert len(ctx._reduced) == 2
 
 
@@ -787,9 +788,52 @@ def test_a_repeated_over_cap_query_descends_once(monkeypatch):
     monkeypatch.setattr(lambda_roots, "descend", counted)
     ctx = qd.LambdaContext(EX4, EX4_WEIGHT)
     direct = qd.LambdaContext(EX4, EX4_WEIGHT, qd.Caps(max_bound_sum=30))
-    order = ((4, 12, 8, 4), (3, 10, 7, 5), (4, 12, 8, 4), (4, 12, 8, 4), (3, 10, 7, 5))
+    order = ((4, 12, 8, 4), (5, 6, 7, 8), (4, 12, 8, 4), (4, 12, 8, 4), (5, 6, 7, 8))
     assert [_answers(ctx, alpha) for alpha in order] == [_answers(direct, alpha) for alpha in order]
-    assert descents == [(4, 12, 8, 4), (3, 10, 7, 5)]
+    assert descents == [(4, 12, 8, 4), (5, 6, 7, 8)]
+
+
+def _off_weight_cases(seed, count):
+    """Seeded (quiver, weight, vector) with the vector not orthogonal to the weight, most over the sum cap."""
+    rng = random.Random(seed)
+    cases = []
+    while len(cases) < count:
+        q = _random_quiver(rng, rng.randint(1, 4))
+        lam = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(q.n))
+        a = tuple(rng.randint(0, 60 // q.n) for _ in range(q.n))
+        if sum(map(mul, lam, a)):
+            cases.append((q, lam, a))
+    assert any(not q.is_loopfree(v) for q, _, _ in cases for v in q.vertices)
+    assert any(len(set(q.arrows)) < len(q.arrows) for q, _, _ in cases)
+    return cases
+
+
+def _off_weight_answers(ctx, a):
+    """The box-free answers to ``a``, then the message each raising query refuses it with."""
+    answers = [qd.in_N_R_lambda_plus(ctx, a), qd.in_sigma_lambda(ctx, a), qd.max_proper_sum_p(ctx, a)]
+    for query in (qd.norm_lambda, qd.sigma_maximizer_count, qd.canonical_decompose):
+        with pytest.raises(qd.NotInNRLambdaPlus) as err:
+            query(ctx, a)
+        answers.append(str(err.value))
+    return answers
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_vector_off_the_weight_gets_the_same_answer_whatever_the_caps(monkeypatch, seed):
+    # lambda . a != 0 rules out every sum of orthogonal roots: over the default caps that answers at once,
+    # never by a descent or a refusal, and equals what a box admitted by raised caps answers
+    def refuse(q, pair):
+        raise AssertionError(f"descended {pair.dim!r}")
+
+    monkeypatch.setattr(lambda_roots, "descend", refuse)
+    over = 0
+    for q, lam, a in _off_weight_cases(seed, 80):
+        raised = qd.Caps(max_bound_sum=max(sum(a), 1), max_box_volume=math.prod(e + 1 for e in a))
+        expected = [False, False, None] + [f"{a!r} is not a sum of orthogonal positive roots"] * 3
+        for caps in (qd.DEFAULT_CAPS, raised):
+            assert _off_weight_answers(qd.LambdaContext(q, lam, caps), a) == expected, (q, lam, a, caps)
+        over += sum(a) > qd.DEFAULT_CAPS.max_bound_sum
+    assert over >= 50
 
 
 def test_sigma_queries_on_an_over_cap_weighted_pair(capsys):

@@ -5,7 +5,7 @@ from math import lcm
 import pytest
 
 import quiverdec as qd
-from quiverdec.errors import BudgetExhausted, InadmissibleStep
+from quiverdec.errors import InadmissibleStep, InvalidCaps
 from quiverdec.reflection_walk import _OrbitSearch, trace_to_json
 
 EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
@@ -104,11 +104,13 @@ def test_normalize_pair_no_admissible_vertex():
 
 
 def test_normalize_pair_zero_budget():
+    # a budget that is not a positive integer is refused like a cap, by both searches
     pair = qd.make_pair(EX4, EX4_WEIGHT, (1, 3, 2, 1))
-    with pytest.raises(BudgetExhausted) as err:
+    with pytest.raises(InvalidCaps, match=r"^budget must be a positive integer, got 0$"):
         qd.normalize_pair(EX4, pair, budget=0)
-    assert err.value.best.state == pair
-    assert not err.value.best.exhaustive
+    for budget in (0, -1, True):
+        with pytest.raises(InvalidCaps, match=rf"^budget must be a positive integer, got {budget!r}$"):
+            qd.fundamental_representative(EX4, pair, budget=budget)
 
 
 def test_coordinate_vector_reachable_without_added_vertex():

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 import quiverdec as qd
-from quiverdec import RootClass, ShapeKind
+from quiverdec import RootClass, ShapeKind, root_system
 from quiverdec.errors import ResourceLimit
 from quiverdec.caps import Caps
 from quiverdec.quiver_core import connected_components
@@ -15,6 +15,13 @@ KRONECKER = qd.extended_dynkin_quiver("A1")
 JORDAN = qd.extended_dynkin_quiver("A0")
 A2 = qd.dynkin_quiver("A2")
 K3 = qd.Quiver(["0", "1"], [["0", "1"]] * 3)
+
+
+def test_a_descent_end_with_p_below_one_is_an_internal_inconsistency(monkeypatch):
+    # with no descent step, the real root (1,1) of A2 ends outside the fundamental region, at p = 0
+    monkeypatch.setattr(root_system, "_descent", lambda q, dim, weight=None: [])
+    with pytest.raises(qd.InternalInconsistency, match=r"^vector \(1, 1\) stuck in descent with p=0; "):
+        qd.classify_root(A2, (1, 1))
 
 
 def test_classify_examples():
