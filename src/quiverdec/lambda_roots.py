@@ -17,6 +17,7 @@ filled bottom-up.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import le, mul, sub
 from typing import Collection, Iterable, Sequence
 
@@ -26,12 +27,12 @@ from .quiver_core import (
     DimVector,
     Quiver,
     WeightVector,
+    _integer_weight,
     dim_vector,
     weight_vector,
     zero_vector,
 )
-from .reflection_walk import PairState, _integer_weight, descend
-from .root_system import _roots_with_p, classify_root
+from .root_system import _descent, _roots_with_p, classify_root
 
 
 def _below(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -42,9 +43,8 @@ class BoxTable:
     """Best p-sum over multisets of the added items, for each vector of a box.
 
     Read by cell only: ``table[a]`` is the best, None when no multiset sums to ``a``;
-    ``count(a)`` how many attain it; ``witness(a)`` one that does. ``items`` maps each added
-    item to its p, ``splits`` to the best its cell held just before it joined. How cells are
-    numbered and stored is private. Adding an item is one unbounded-knapsack pass, so each
+    ``count(a)`` how many attain it; ``witness(a)`` one that does; ``items`` maps each added item to its p.
+    How cells are numbered and stored is private. Adding an item is one unbounded-knapsack pass, so each
     multiset is counted once. The p = 0 coordinate vectors at ``seeds`` start added, with no
     ``items`` entry: a vector on their support is one multiset. Cells go ascending lex, and
     seeds go down in blocks, last coordinate first: a seeded one repeats the block after it.
@@ -63,7 +63,6 @@ class BoxTable:
                 self._best += [None] * (len(self._best) * bound[i])
                 self._count += [0] * (len(self._count) * bound[i])
         self.items: dict[DimVector, int] = {}
-        self.splits: dict[DimVector, int | None] = {}
         self._offsets: list[tuple[DimVector, int, int]] = []  # witness's (item, cell offset, p), in ``items`` order
 
     def _index(self, a: Sequence[int]) -> int:
@@ -78,7 +77,6 @@ class BoxTable:
     def add(self, item: DimVector, p: int) -> None:
         best, count, shift = self._best, self._count, self._index(item)
         self.items[item] = p
-        self.splits[item] = best[shift]
         rows = [0]  # first indices of the rows of vectors below bound - item, ascending
         for b, x, stride in zip(self.bound[:-1], item, self._strides):
             rows = [o + k * stride for o in rows for k in range(b - x + 1)]
@@ -132,14 +130,14 @@ class LambdaContext:
     def __init__(self, quiver: Quiver, weight: Iterable, caps: Caps = DEFAULT_CAPS):
         self.quiver = quiver
         self.weight: WeightVector = weight_vector(quiver, weight)
-        self._scaled = _integer_weight(self.weight)[1]  # orthogonality is linear in the weight
+        self._scale, self._scaled = _integer_weight(self.weight)  # orthogonality, descent: linear in the weight
         self.caps = caps
         self._real = any(w for w, v in zip(self._scaled, quiver.vertices) if quiver.is_loopfree(v))  # see _cover
         self._bound: DimVector = zero_vector(quiver)
         self._roots: dict[DimVector, int] = {}  # p of each kept orthogonal root of the box, by (sum, lex)
         self._seeds: dict[DimVector, int] = {}  # the kept roots of entry sum 1 and p = 0, to their coordinate
         self._tables: dict[str, BoxTable] = {}
-        self._reduced: dict[WeightVector, LambdaContext] = {}  # where over-cap vectors descend, by weight
+        self._reduced: dict[WeightVector, LambdaContext] = {}  # where over-cap vectors descend, by other weight
         self._over: dict[DimVector, tuple[LambdaContext, DimVector, tuple[str, ...]]] = {}  # resolved over-cap
         self._labels: dict[DimVector, str] = {}  # product_structure_report's, by isotropic Sigma member
         self._weight_text: str | None = None  # product_structure_report's rendering of the weight
@@ -176,11 +174,11 @@ class LambdaContext:
     def resolve(self, a: Sequence[int]) -> tuple[LambdaContext, DimVector, tuple[str, ...]]:
         """(context, vector, reflections) that a vector query on ``a`` runs on, the box covering it.
 
-        Itself, ``a`` and () when the caps admit a box containing ``a``, at once if the classified box
-        does (a box within the caps holds no over-cap vector). Over the caps, NotInNRLambdaPlus for
-        a vector not orthogonal to the weight, with no box and no descent; else the pair's admissible
-        descent, which keeps orthogonal roots and p, on the context kept for its reduced weight; that
-        triple is kept per vector, as no box of the caps ever covers it. NotInNRLambdaPlus for a
+        Itself, ``a`` and () when the caps admit a box containing ``a``, at once if the classified box does
+        (a box within the caps holds no over-cap vector). Over the caps, NotInNRLambdaPlus for a vector not
+        orthogonal to the weight, with no box and no descent; else the pair's admissible descent, which keeps
+        orthogonal roots and p, on the reduced weight's context: itself, or the one kept for another weight.
+        That triple is kept per vector, as no box of the caps ever covers it. NotInNRLambdaPlus for a
         negative entry, given or reached; a descent with no step, as at weight 0, re-raises the refusal.
         """
         a = dim_vector(self.quiver, a)
@@ -195,15 +193,17 @@ class LambdaContext:
             except ResourceLimit:
                 if sum(map(mul, self._scaled, a)):
                     raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots") from None
-                state, seq = descend(self.quiver, PairState(self.weight, a))
+                dim, weight = list(a), list(self._scaled)
+                seq = tuple(self.quiver.vertices[i] for i in _descent(self.quiver, dim, weight))
                 if not seq:
                     raise
-            if min(state.dim) < 0:
+            if min(dim) < 0:
                 along = ",".join(seq) if len(seq) <= 64 else f"{','.join(seq[:8])},… ({len(seq)} reflections)"
-                raise NotInNRLambdaPlus(f"{a!r} reflects along {along} to {state.dim!r}")
-            low = self._reduced.get(state.weight) or LambdaContext(self.quiver, state.weight, self.caps)
-            self._reduced[state.weight] = low
-            self._over[a] = low, state.dim, seq
+                raise NotInNRLambdaPlus(f"{a!r} reflects along {along} to {tuple(dim)!r}")
+            weight = tuple(Fraction(x, self._scale) for x in weight)
+            if weight != self.weight and weight not in self._reduced:
+                self._reduced[weight] = LambdaContext(self.quiver, weight, self.caps)
+            self._over[a] = self._reduced.get(weight, self), tuple(dim), seq
         low, b, seq = self._over[a]
         low._cover(b)  # the reduced box may since have moved to another vector's
         return low, b, seq
@@ -247,9 +247,7 @@ def _table_at(ctx: LambdaContext, kind: str, a: DimVector) -> BoxTable:
 def in_R_lambda_plus(ctx: LambdaContext, a: Sequence[int]) -> bool:
     """Positive root orthogonal to the weight?"""
     a = dim_vector(ctx.quiver, a)
-    if all(e == 0 for e in a) or any(e < 0 for e in a):
-        return False
-    return sum(map(mul, ctx._scaled, a)) == 0 and classify_root(ctx.quiver, a).is_root
+    return any(a) and min(a) >= 0 and not sum(map(mul, ctx._scaled, a)) and classify_root(ctx.quiver, a).is_root
 
 
 def in_N_R_lambda_plus(ctx: LambdaContext, a: Sequence[int]) -> bool:
@@ -274,15 +272,17 @@ def norm_lambda(ctx: LambdaContext, a: Sequence[int]) -> int:
 def max_proper_sum_p(ctx: LambdaContext, a: Sequence[int]) -> int | None:
     """Max p-sum over decompositions of ``a`` with at least two parts.
 
-    None when there is none, e.g. for coordinate vectors. Read off the resolved Sigma table: a
-    member's split, recorded as it joined after every member below it; else the cell of ``a``.
+    None when there is none, e.g. for coordinate vectors. Read off the resolved Sigma table: for an item
+    or 0, the best p(b) + cell a - b over the other items b below it, cells no later item reaches; else cell a.
     """
     try:
         ctx, a, _ = ctx.resolve(a)
     except NotInNRLambdaPlus:
         return None
     table = ctx._table("sigma")
-    return table.splits.get(a) if a in table.items or not any(a) else table[a]
+    sums = (p + rest for b, p in table.items.items()
+            if b != a and _below(b, a) and (rest := table[tuple(map(sub, a, b))]) is not None)
+    return max(sums, default=None) if a in table.items or not any(a) else table[a]
 
 
 def in_sigma_lambda(ctx: LambdaContext, a: Sequence[int]) -> bool:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
@@ -143,6 +144,12 @@ def weight_vector(q: Quiver, entries: Iterable) -> WeightVector:
     """Validate and freeze an exact rational weight indexed by ``q``'s vertices; strings via parse_rational."""
     entries = (e if type(e) is Fraction else parse_rational(e) if isinstance(e, str) else Fraction(e) for e in entries)
     return _check_len(q, tuple(entries))
+
+
+def _integer_weight(lam: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(L, L * lam) for the least positive integer L clearing the denominators of ``lam``."""
+    scale = lcm(*(x.denominator for x in lam))
+    return scale, tuple(x.numerator * (scale // x.denominator) for x in lam)
 
 
 def zero_vector(q: Quiver) -> DimVector:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InadmissibleStep, InvalidCaps
@@ -21,6 +20,7 @@ from .quiver_core import (
     DimVector,
     Quiver,
     WeightVector,
+    _integer_weight,
     dim_vector,
     pairing_with_simple,
     weight_to_json_list,
@@ -85,12 +85,6 @@ class NormalizedPair:
     state: PairState
     sequence: tuple[str, ...]
     exhaustive: bool
-
-
-def _integer_weight(lam: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
-    """(L, L * lam) for the least positive integer L clearing the denominators of ``lam``."""
-    scale = lcm(*(x.denominator for x in lam))
-    return scale, tuple(x.numerator * (scale // x.denominator) for x in lam)
 
 
 class _OrbitSearch:

@@ -32,7 +32,7 @@ from quiverdec import cli, lambda_roots, oracle
 from quiverdec.errors import InadmissibleStep
 from quiverdec.lambda_roots import BoxTable
 from quiverdec.quiver_core import connected_components, pairing_with_simple, restrict_vector
-from quiverdec.root_system import _in_fundamental, _radical, _roots_with_p, iter_box
+from quiverdec.root_system import _descent, _in_fundamental, _radical, _roots_with_p, iter_box
 
 EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
 EX4_WEIGHT = (0, 1, -2, 1)
@@ -302,7 +302,7 @@ def test_warm_queries_inside_the_box_do_no_box_work(monkeypatch, q, lam, box):
         raise AssertionError("box work on a warm query")
 
     monkeypatch.setattr(lambda_roots, "_roots_with_p", refuse)
-    monkeypatch.setattr(lambda_roots, "descend", refuse)
+    monkeypatch.setattr(lambda_roots, "_descent", refuse)
     monkeypatch.setattr(BoxTable, "__init__", refuse)
     assert {a: _answers(ctx, a) for a in iter_box(box)} == expected
 
@@ -781,16 +781,40 @@ def test_over_cap_queries_reuse_the_reduced_context():
 def test_a_repeated_over_cap_query_descends_once(monkeypatch):
     descents = []
 
-    def counted(q, pair):
-        descents.append(pair.dim)
-        return qd.descend(q, pair)
+    def counted(q, dim, weight=None):
+        descents.append(tuple(dim))
+        return _descent(q, dim, weight)
 
-    monkeypatch.setattr(lambda_roots, "descend", counted)
+    monkeypatch.setattr(lambda_roots, "_descent", counted)
     ctx = qd.LambdaContext(EX4, EX4_WEIGHT)
     direct = qd.LambdaContext(EX4, EX4_WEIGHT, qd.Caps(max_bound_sum=30))
     order = ((4, 12, 8, 4), (5, 6, 7, 8), (4, 12, 8, 4), (4, 12, 8, 4), (5, 6, 7, 8))
     assert [_answers(ctx, alpha) for alpha in order] == [_answers(direct, alpha) for alpha in order]
     assert descents == [(4, 12, 8, 4), (5, 6, 7, 8)]
+
+
+@pytest.mark.parametrize("scale", [1, Fraction(1, 3)])
+def test_a_descent_back_to_the_weight_runs_on_the_context_itself(scale):
+    # (1,7,8,9) descends along 4,3,2,4,3,2 to (1,4,4,4) at the context's own weight: one context per
+    # weight, counting itself; of the orthogonal over-cap vectors with entries at most 12, 107 are
+    # answered, 5 of them on the context itself, each as a context with the sum cap at 30 answers it
+    lam = tuple(scale * x for x in EX4_WEIGHT)
+    ctx = qd.LambdaContext(EX4, lam)
+    direct = qd.LambdaContext(EX4, lam, qd.Caps(max_bound_sum=30))
+    assert ctx.resolve((1, 7, 8, 9)) == (ctx, (1, 4, 4, 4), ("4", "3", "2", "4", "3", "2"))
+    answered = own = 0
+    for alpha in itertools.product(range(13), repeat=4):
+        if sum(alpha) <= qd.DEFAULT_CAPS.max_bound_sum or qd.lambda_dot(lam, alpha):
+            continue
+        try:
+            low = ctx.resolve(alpha)[0]
+        except qd.QuiverdecError:
+            continue
+        answered += 1
+        own += low is ctx
+        assert _answers(ctx, alpha) == _answers(direct, alpha), alpha
+        assert ctx._reduced.get(ctx.weight, ctx) is ctx and ctx.resolve(alpha)[0] is low, alpha
+    assert (answered, own) == (107, 5)
 
 
 def _off_weight_cases(seed, count):
@@ -822,10 +846,10 @@ def _off_weight_answers(ctx, a):
 def test_a_vector_off_the_weight_gets_the_same_answer_whatever_the_caps(monkeypatch, seed):
     # lambda . a != 0 rules out every sum of orthogonal roots: over the default caps that answers at once,
     # never by a descent or a refusal, and equals what a box admitted by raised caps answers
-    def refuse(q, pair):
-        raise AssertionError(f"descended {pair.dim!r}")
+    def refuse(q, dim, weight=None):
+        raise AssertionError(f"descended {tuple(dim)!r}")
 
-    monkeypatch.setattr(lambda_roots, "descend", refuse)
+    monkeypatch.setattr(lambda_roots, "_descent", refuse)
     over = 0
     for q, lam, a in _off_weight_cases(seed, 80):
         raised = qd.Caps(max_bound_sum=max(sum(a), 1), max_box_volume=math.prod(e + 1 for e in a))

@@ -1,3 +1,4 @@
+import ast
 import itertools
 import random
 from fractions import Fraction
@@ -6,6 +7,7 @@ import pytest
 
 import quiverdec as qd
 from corpus import build_corpus, table_cells
+from quiverdec import decomposer, lambda_roots
 from quiverdec.errors import InternalInconsistency, NotInNRLambdaPlus
 from quiverdec.lambda_roots import BoxTable
 
@@ -273,3 +275,13 @@ def test_witness_offsets_follow_items_as_they_grow():
     assert table.witness((1, 3)) == ((1, 0), (0, 1), (0, 1), (0, 1)) == _witness_by_tuples(table, (1, 3))
     table.add((0, 3), 5)
     assert table.witness((1, 3)) == ((1, 0), (0, 3)) == _witness_by_tuples(table, (1, 3))
+
+
+def test_the_query_engine_does_not_import_reflection_walk():
+    # lambda_roots and decomposer reach the one descent loop, root_system._descent, directly
+    for module in (lambda_roots, decomposer):
+        with open(module.__file__, encoding="utf-8") as f:
+            tree = ast.parse(f.read())
+        names = {name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for name in [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]}
+        assert not any("reflection_walk" in name.split(".") for name in names), (module.__name__, names)
