@@ -5,11 +5,10 @@ Run with: python demos/oracle_checks.py
 
 import quiverdec as qd
 from quiverdec import oracle
-from quiverdec.cli import _verify_suite
 from quiverdec.caps import DEFAULT_CAPS
 
 print("Lemma checks at default bounds:")
-for report in _verify_suite(DEFAULT_CAPS):
+for report in oracle.default_suite(DEFAULT_CAPS):
     status = "PASS" if report.passed else "FAIL"
     print(f"  {status}  {report.lemma:<14} instances={report.instances_checked:<6} elapsed={report.elapsed:.2f}s")
 

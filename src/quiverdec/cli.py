@@ -30,13 +30,7 @@ from .quiver_core import (
     q_form,
 )
 from .reflection_walk import apply_sequence, make_pair, trace_to_json
-from .root_system import (
-    classify_root,
-    classify_shape,
-    dynkin_quiver,
-    extended_dynkin_quiver,
-    positive_roots_upto,
-)
+from .root_system import classify_root, classify_shape, positive_roots_upto
 
 
 def parse_quiver_file(path: str) -> Quiver:
@@ -151,51 +145,11 @@ def _cmd_reflect(args) -> int:
     return 0
 
 
-def _verify_suite(caps: Caps):
-    """The default lemma-check suite at desk-scale bounds."""
-    from fractions import Fraction
-
+def _cmd_verify(args) -> int:
     # imported here, so the commands other than verify never load the oracle
     from . import oracle
 
-    kronecker = extended_dynkin_quiver("A1")
-    triangle = extended_dynkin_quiver("A2")
-    ex4 = Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
-    ex4_weight = [0, 1, -2, 1]
-
-    reports = []
-    reports.append(oracle.check_deltasum(LambdaContext(kronecker, [0, 0], caps), 2))
-    reports.append(oracle.check_deltasum(LambdaContext(triangle, [1, -1, 0], caps), 2))
-    for name in ("A1", "A2", "A3", "A4", "D4"):
-        reports.append(oracle.check_dynkvec(dynkin_quiver(name), 3))
-    ctx4 = LambdaContext(ex4, ex4_weight, caps)
-    reports.append(oracle.check_rootineq(ctx4, (1, 3, 2, 1)))
-    ctx4_synth = LambdaContext(ex4, [0, 1, -1, 0], caps)
-    reports.append(oracle.check_rootineq(ctx4_synth, (1, 0, 0, 0)))
-    reports.append(oracle.check_maincase(ctx4, (1, 4, 4, 4), 6))
-    # one-arrow join of an A2 side and a Kronecker side, entries 1 at the join
-    bridge = Quiver(
-        ["j1", "j2", "k1", "k2"],
-        [["j1", "j2"], ["j2", "k1"], ["k1", "k2"], ["k1", "k2"]],
-    )
-    ctx_bridge = LambdaContext(bridge, [1, -1, Fraction(1, 2), Fraction(-1, 2)], caps)
-    reports.append(
-        oracle.check_support_split(ctx_bridge, (1, 1, 1, 1), ("j1", "j2"), ("k1", "k2"))
-    )
-    # extended Dynkin side carrying twice its delta
-    pend = Quiver(["j", "k0", "k1"], [["j", "k0"], ["k0", "k1"], ["k0", "k1"]])
-    ctx_pend = LambdaContext(pend, [0, 1, -1], caps)
-    reports.append(oracle.check_support_split(ctx_pend, (1, 2, 2), ("j",), ("k0", "k1")))
-    # two components with no connecting arrow split unconditionally
-    disjoint = Quiver(["a", "b", "c"], [["a", "b"]])
-    ctx_disjoint = LambdaContext(disjoint, [1, -1, 0], caps)
-    reports.append(oracle.check_support_split(ctx_disjoint, (1, 1, 2), ("a", "b"), ("c",)))
-    return reports
-
-
-def _cmd_verify(args) -> int:
-    caps = _caps_from_args(args)
-    reports = _verify_suite(caps)
+    reports = oracle.default_suite(_caps_from_args(args))
     if args.json:
         print(json.dumps([r.to_json_dict() for r in reports], indent=2))
     else:

@@ -6,7 +6,9 @@ under simple reflections, as the main path does, but find the seeds by a scan
 of the box; the tests check both against ``classify_root``'s pointwise descent.
 Memberships are decided by full multiset enumeration instead of the memoized
 maximum, and refinements by a local partition search. Agreement between this
-module and the main path is the evidence the test suite is built on.
+module and the main path is the evidence the test suite is built on. The
+module also holds the reference helpers, which no main-path module calls, and
+``default_suite``, the lemma checks that ``quiverdec verify`` runs.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cache
 from operator import mul
 from typing import Iterable, Sequence
@@ -24,8 +27,8 @@ from .lambda_roots import LambdaContext
 from .quiver_core import (
     DimVector,
     Quiver,
+    _check_len,
     bilinear_form,
-    connected_components,
     coordinate_vector,
     dim_vector,
     integer_entries,
@@ -33,13 +36,13 @@ from .quiver_core import (
     p_form,
     pairing_with_simple,
     restrict,
-    restrict_vector,
     support,
 )
 from .root_system import (
     ShapeKind,
     classify_shape,
-    iter_box,
+    dynkin_quiver,
+    extended_dynkin_quiver,
     simple_reflection,
 )
 
@@ -67,6 +70,44 @@ class CheckReport:
             "passed": self.passed,
             "info": self.info,
         }
+
+
+# -- reference helpers ------------------------------------------------------------
+
+
+def iter_box(bound: Sequence[int]):
+    """Yield all nonzero componentwise-bounded nonnegative vectors, ascending lex."""
+    for vec in itertools.product(*(range(b + 1) for b in bound)):
+        if any(vec):
+            yield vec
+
+
+def restrict_vector(q: Quiver, a: Sequence[int], keep: Iterable[str]) -> DimVector:
+    """Project a vector onto the subquiver's vertex order."""
+    _check_len(q, a)
+    keep_set = set(keep)
+    return tuple(e for v, e in zip(q.vertices, a) if v in keep_set)
+
+
+def connected_components(q: Quiver, within: Iterable[str] | None = None) -> list[tuple[str, ...]]:
+    """Connected components of the underlying graph (nonzero Cartan entries), restricted to ``within``."""
+    keep = set(q.vertices if within is None else within)
+    pool = [i for i, v in enumerate(q.vertices) if v in keep]
+    cartan = q.cartan_matrix()
+    out, seen = [], set()
+    for i in pool:
+        if i in seen:
+            continue
+        comp, stack = [], [i]
+        seen.add(i)
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            linked = [w for w in pool if w not in seen and cartan[u][w]]
+            seen.update(linked)
+            stack += linked
+        out.append(tuple(q.vertices[u] for u in sorted(comp)))
+    return out
 
 
 # -- independent root enumeration ----------------------------------------------
@@ -524,3 +565,41 @@ def check_support_split(
         "support_split", started, instances, counterexamples,
         {"alpha": list(a), "side_j": list(part_j), "side_k": list(part_k)},
     )
+
+
+# -- the default suite ------------------------------------------------------------
+
+
+def default_suite(caps: Caps) -> list[CheckReport]:
+    """The default lemma-check suite at desk-scale bounds, run by ``quiverdec verify``."""
+    kronecker = extended_dynkin_quiver("A1")
+    triangle = extended_dynkin_quiver("A2")
+    ex4 = Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
+    ex4_weight = [0, 1, -2, 1]
+
+    reports = []
+    reports.append(check_deltasum(LambdaContext(kronecker, [0, 0], caps), 2))
+    reports.append(check_deltasum(LambdaContext(triangle, [1, -1, 0], caps), 2))
+    for name in ("A1", "A2", "A3", "A4", "D4"):
+        reports.append(check_dynkvec(dynkin_quiver(name), 3))
+    ctx4 = LambdaContext(ex4, ex4_weight, caps)
+    reports.append(check_rootineq(ctx4, (1, 3, 2, 1)))
+    ctx4_synth = LambdaContext(ex4, [0, 1, -1, 0], caps)
+    reports.append(check_rootineq(ctx4_synth, (1, 0, 0, 0)))
+    reports.append(check_maincase(ctx4, (1, 4, 4, 4), 6))
+    # one-arrow join of an A2 side and a Kronecker side, entries 1 at the join
+    bridge = Quiver(
+        ["j1", "j2", "k1", "k2"],
+        [["j1", "j2"], ["j2", "k1"], ["k1", "k2"], ["k1", "k2"]],
+    )
+    ctx_bridge = LambdaContext(bridge, [1, -1, Fraction(1, 2), Fraction(-1, 2)], caps)
+    reports.append(check_support_split(ctx_bridge, (1, 1, 1, 1), ("j1", "j2"), ("k1", "k2")))
+    # extended Dynkin side carrying twice its delta
+    pend = Quiver(["j", "k0", "k1"], [["j", "k0"], ["k0", "k1"], ["k0", "k1"]])
+    ctx_pend = LambdaContext(pend, [0, 1, -1], caps)
+    reports.append(check_support_split(ctx_pend, (1, 2, 2), ("j",), ("k0", "k1")))
+    # two components with no connecting arrow split unconditionally
+    disjoint = Quiver(["a", "b", "c"], [["a", "b"]])
+    ctx_disjoint = LambdaContext(disjoint, [1, -1, 0], caps)
+    reports.append(check_support_split(ctx_disjoint, (1, 1, 2), ("a", "b"), ("c",)))
+    return reports

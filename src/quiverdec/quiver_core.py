@@ -220,34 +220,6 @@ def restrict(q: Quiver, keep: Iterable[str]) -> Quiver:
     return Quiver(vertices, arrows)
 
 
-def restrict_vector(q: Quiver, a: Sequence[int], keep: Iterable[str]) -> DimVector:
-    """Project a vector onto the subquiver's vertex order."""
-    _check_len(q, a)
-    keep_set = set(keep)
-    return tuple(e for v, e in zip(q.vertices, a) if v in keep_set)
-
-
-def connected_components(q: Quiver, within: Iterable[str] | None = None) -> list[tuple[str, ...]]:
-    """Connected components of the underlying graph (nonzero Cartan entries), restricted to ``within``."""
-    keep = set(q.vertices if within is None else within)
-    pool = [i for i, v in enumerate(q.vertices) if v in keep]
-    cartan = q.cartan_matrix()
-    out, seen = [], set()
-    for i in pool:
-        if i in seen:
-            continue
-        comp, stack = [], [i]
-        seen.add(i)
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            linked = [w for w in pool if w not in seen and cartan[u][w]]
-            seen.update(linked)
-            stack += linked
-        out.append(tuple(q.vertices[u] for u in sorted(comp)))
-    return out
-
-
 def has_connected_support(q: Quiver, a: Sequence[int]) -> bool:
     """True iff the support is nonempty and spans one component (see :func:`_spans_one_component`)."""
     _check_len(q, a)

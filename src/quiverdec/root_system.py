@@ -11,7 +11,6 @@ Everything is exact integer arithmetic, bounded by Caps.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -123,13 +122,6 @@ def _descent(q: Quiver, dim: list[int], weight: list[int] | None = None) -> list
             for j, m in nbrs:
                 weight[j] += m * w
     return steps
-
-
-def iter_box(bound: Sequence[int]):
-    """Yield all nonzero componentwise-bounded nonnegative vectors, ascending lex."""
-    for vec in itertools.product(*(range(b + 1) for b in bound)):
-        if any(vec):
-            yield vec
 
 
 def positive_roots_upto(q: Quiver, bound: Sequence[int], caps: Caps = DEFAULT_CAPS) -> tuple[DimVector, ...]:

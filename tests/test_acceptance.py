@@ -141,7 +141,7 @@ def test_criterion_6_factor_classification(corpus):
                 sub = qd.restrict(q, supp)
                 shape = qd.classify_shape(sub)
                 assert shape.kind is qd.ShapeKind.EXTENDED_DYNKIN
-                from quiverdec.quiver_core import restrict_vector
+                from quiverdec.oracle import restrict_vector
 
                 assert restrict_vector(q, state.dim, supp) == shape.delta
                 assert factor.label is not None

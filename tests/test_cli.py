@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import quiverdec as qd
+from quiverdec import oracle
 from quiverdec.cli import main, parse_quiver_file
 from quiverdec.quiver_core import parse_rational
 
@@ -329,6 +330,7 @@ def test_verify_runs_clean(capsys):
     reports = json.loads(out)
     assert all(r["passed"] for r in reports)
     assert [(r["lemma"], r["instances_checked"], r["info"]) for r in reports] == VERIFY_SUITE
+    assert [(r.lemma, r.instances_checked, r.info) for r in oracle.default_suite(qd.DEFAULT_CAPS)] == VERIFY_SUITE
     rc, out, _ = run(capsys, "verify")
     assert rc == 0
     lines = out.splitlines()

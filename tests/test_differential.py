@@ -31,8 +31,9 @@ from corpus import build_corpus, table_cells
 from quiverdec import cli, lambda_roots, oracle
 from quiverdec.errors import InadmissibleStep
 from quiverdec.lambda_roots import BoxTable
-from quiverdec.quiver_core import connected_components, pairing_with_simple, restrict_vector
-from quiverdec.root_system import _descent, _in_fundamental, _radical, _roots_with_p, iter_box
+from quiverdec.oracle import connected_components, iter_box, restrict_vector
+from quiverdec.quiver_core import pairing_with_simple
+from quiverdec.root_system import _descent, _in_fundamental, _radical, _roots_with_p
 
 EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
 EX4_WEIGHT = (0, 1, -2, 1)

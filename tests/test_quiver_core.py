@@ -8,13 +8,12 @@ import pytest
 
 import quiverdec as qd
 from quiverdec.errors import DimensionMismatch
+from quiverdec.oracle import connected_components, restrict_vector
 from quiverdec.quiver_core import (
-    connected_components,
     has_connected_support,
     parse_rational,
     quiver_from_json_dict,
     quiver_to_json_dict,
-    restrict_vector,
     weight_to_json_list,
 )
 

@@ -8,7 +8,7 @@ import quiverdec as qd
 from quiverdec import RootClass, ShapeKind, root_system
 from quiverdec.errors import ResourceLimit
 from quiverdec.caps import Caps
-from quiverdec.quiver_core import connected_components
+from quiverdec.oracle import connected_components
 from quiverdec.root_system import _affine_label, _radical
 
 KRONECKER = qd.extended_dynkin_quiver("A1")
@@ -88,7 +88,7 @@ def test_positive_roots_equal_brute_filter():
     # same set as pointwise classification over the box, by construction
     for q, bound in ((KRONECKER, (3, 3)), (K3, (3, 3)), (JORDAN, (4,))):
         roots = qd.positive_roots_upto(q, bound)
-        from quiverdec.root_system import iter_box
+        from quiverdec.oracle import iter_box
 
         brute = tuple(a for a in iter_box(bound) if qd.classify_root(q, a).is_root)
         assert roots == brute
