@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from .caps import Caps
-from .decomposer import _format_vector, _format_weight, product_structure_report
+from .decomposer import _format_vector, product_structure_report
 from .errors import InvalidCaps, QuiverdecError, ResourceLimit
 from .lambda_roots import LambdaContext, in_sigma_lambda, sigma_lambda_upto
 from .quiver_core import (
@@ -66,7 +66,7 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
 
 
 def _format_pair(state) -> str:
-    return f"({_format_weight(state.weight)},{_format_vector(state.dim)})"
+    return f"({_format_vector(state.weight)},{_format_vector(state.dim)})"
 
 
 def _caps_from_args(args) -> Caps:

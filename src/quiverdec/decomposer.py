@@ -21,7 +21,6 @@ from .errors import InternalInconsistency, NotIsotropicSigma, SumMismatch
 from .lambda_roots import LambdaContext, _table_at, norm_lambda
 from .quiver_core import (
     DimVector,
-    WeightVector,
     dim_vector,
     integer_entries,
     weight_to_json_list,
@@ -162,8 +161,8 @@ def kleinian_label(ctx: LambdaContext, sigma: Sequence[int]) -> str:
     split off its coordinate vector at no loss of p, so admissible descent
     ends in the fundamental region, at the delta of an extended Dynkin
     support. The descent is not capped: its length grows with the entries of
-    ``sigma``. NotIsotropicSigma when its end shows ``sigma`` is no isotropic
-    Sigma member.
+    ``sigma``. NotIsotropicSigma for a ``sigma`` not orthogonal to the weight,
+    or when the descent's end shows it is no isotropic Sigma member.
 
     The end d is judged by the Cartan rows C_S on its support S: by Vinberg's trichotomy
     (Kac, Infinite-Dimensional Lie Algebras, Thm 4.3), a d > 0 with C_S d = 0 makes S extended
@@ -171,6 +170,8 @@ def kleinian_label(ctx: LambdaContext, sigma: Sequence[int]) -> str:
     rules out Dynkin S, and semidefinite S has C_S d = 0.
     """
     sigma = dim_vector(ctx.quiver, sigma)
+    if sum(map(mul, ctx._scaled, sigma)):
+        raise NotIsotropicSigma(f"{sigma!r} is not orthogonal to the weight")
     end = list(sigma)
     _descent(ctx.quiver, end, list(ctx._scaled))
     d = tuple(end)
@@ -185,11 +186,7 @@ def kleinian_label(ctx: LambdaContext, sigma: Sequence[int]) -> str:
 
 
 def _format_vector(vec) -> str:
-    return "(" + ",".join(str(x) for x in vec) + ")"
-
-
-def _format_weight(lam: WeightVector) -> str:
-    return "(" + ",".join(map(str, lam)) + ")"  # a Fraction prints as its JSON entry: "3", "-1/2"
+    return "(" + ",".join(map(str, vec)) + ")"  # a Fraction prints as its JSON entry: "3", "-1/2"
 
 
 _FACTOR_KINDS = {RootClass.REAL: "Point", RootClass.ISOTROPIC_IMAGINARY: "Kleinian",
@@ -206,7 +203,7 @@ def product_structure_report(ctx: LambdaContext, a: Sequence[int]) -> ProductRep
     computed once per context and kept on it.
     """
     decomposition = canonical_decompose(ctx, a)
-    lam_str = ctx._weight_text = ctx._weight_text or _format_weight(ctx.weight)
+    lam_str = ctx._weight_text = ctx._weight_text or _format_vector(ctx.weight)
     factors, pieces, labels = [], [], ctx._labels
     for term in decomposition.terms:
         kind = _FACTOR_KINDS[term.root_class]
@@ -228,7 +225,7 @@ def product_structure_report(ctx: LambdaContext, a: Sequence[int]) -> ProductRep
 def check_refinement(d1: Sequence[Sequence[int]], d2: Sequence[Sequence[int]]) -> bool:
     """Can the parts of ``d1`` be grouped to sum to the parts of ``d2``?
 
-    Both are multisets of integer vectors (else ValueError) of one length and one total, else SumMismatch.
+    Both are multisets of nonnegative integer vectors (else ValueError) of one length and one total, else SumMismatch.
     A zero part joins any group and a zero target is an empty group; the rest
     is one memoized placement search: parts go largest first into targets
     with room left, skipping a room equal to the one before it or one that
@@ -237,6 +234,8 @@ def check_refinement(d1: Sequence[Sequence[int]], d2: Sequence[Sequence[int]]) -
     """
     parts = sorted(map(integer_entries, d1))
     targets = sorted(map(integer_entries, d2), key=lambda t: (-sum(t), t))
+    if (low := min((x for v in parts + targets for x in v), default=0)) < 0:
+        raise ValueError(f"entry {low} is negative")  # the pruning below counts on no negative entry
     lengths = {len(v) for v in parts + targets}
     if len(lengths) > 1:
         raise SumMismatch("decompositions live on different vertex sets")

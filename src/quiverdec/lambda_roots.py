@@ -118,13 +118,13 @@ class BoxTable:
 class LambdaContext:
     """A quiver with a fixed exact-rational weight and resource caps.
 
-    The context classifies one box, grown to cover each bound asked about,
-    with its Sigma and norm tables. Only over-cap vectors keep their
-    resolution per vector, and the reduced contexts they descend to are kept
-    per weight. A warm context keeps its reports' Kleinian labels and weight
-    text, and its tables their witness offsets: a query inside the box
-    validates once, resolves at once and reads its cells. A context is safe
-    to use from one thread at a time; distinct contexts are fully independent.
+    The context classifies one box, grown to cover each bound asked about, with its Sigma and
+    norm tables. Only over-cap vectors keep their resolution per vector, naming the reduced
+    context they descend to, kept per weight, or none when the descent returns to this weight:
+    no context refers to itself. A warm context keeps its reports' Kleinian labels and weight
+    text, and its tables their witness offsets: a query inside the box validates once, resolves
+    at once and reads its cells. A context is safe to use from one thread at a time; distinct
+    contexts are fully independent.
     """
 
     def __init__(self, quiver: Quiver, weight: Iterable, caps: Caps = DEFAULT_CAPS):
@@ -132,13 +132,11 @@ class LambdaContext:
         self.weight: WeightVector = weight_vector(quiver, weight)
         self._scale, self._scaled = _integer_weight(self.weight)  # orthogonality, descent: linear in the weight
         self.caps = caps
-        self._real = any(w for w, v in zip(self._scaled, quiver.vertices) if quiver.is_loopfree(v))  # see _cover
         self._bound: DimVector = zero_vector(quiver)
         self._roots: dict[DimVector, int] = {}  # p of each kept orthogonal root of the box, by (sum, lex)
-        self._seeds: dict[DimVector, int] = {}  # the kept roots of entry sum 1 and p = 0, to their coordinate
         self._tables: dict[str, BoxTable] = {}
         self._reduced: dict[WeightVector, LambdaContext] = {}  # where over-cap vectors descend, by other weight
-        self._over: dict[DimVector, tuple[LambdaContext, DimVector, tuple[str, ...]]] = {}  # resolved over-cap
+        self._over: dict[DimVector, tuple[LambdaContext | None, DimVector, tuple[str, ...]]] = {}  # None: self
         self._labels: dict[DimVector, str] = {}  # product_structure_report's, by isotropic Sigma member
         self._weight_text: str | None = None  # product_structure_report's rendering of the weight
 
@@ -148,18 +146,18 @@ class LambdaContext:
         Of the orthogonal roots it keeps those with p > 0, the coordinate vectors and those where
         the weight is nonzero on the support: no table can use any other, a real root that sums
         orthogonal coordinate vectors of p = 0. So where the weight is 0 at every loopfree vertex,
-        only imaginary roots are raised.
+        only imaginary roots are raised. Each table reads its seeds off the kept roots.
         """
         if _below(bound, self._bound):
             return
         box = tuple(map(max, bound, self._bound))
+        real = any(w for w, v in zip(self._scaled, self.quiver.vertices) if self.quiver.is_loopfree(v))
         try:
-            roots = _roots_with_p(self.quiver, box, self.caps, self._real)
+            roots = _roots_with_p(self.quiver, box, self.caps, real)
         except ResourceLimit:
-            box, roots = bound, _roots_with_p(self.quiver, bound, self.caps, self._real)
+            box, roots = bound, _roots_with_p(self.quiver, bound, self.caps, real)
         self._roots = {b: roots[b] for b in self._orthogonal(roots)
                        if roots[b] or sum(b) == 1 or any(map(mul, self._scaled, b))}
-        self._seeds = {b: b.index(1) for b, p in self._roots.items() if sum(b) == 1 and not p}
         self._bound = box
         self._tables.clear()
 
@@ -178,8 +176,8 @@ class LambdaContext:
         (a box within the caps holds no over-cap vector). Over the caps, NotInNRLambdaPlus for a vector not
         orthogonal to the weight, with no box and no descent; else the pair's admissible descent, which keeps
         orthogonal roots and p, on the reduced weight's context: itself, or the one kept for another weight.
-        That triple is kept per vector, as no box of the caps ever covers it. NotInNRLambdaPlus for a
-        negative entry, given or reached; a descent with no step, as at weight 0, re-raises the refusal.
+        That triple is kept per vector, as no box of the caps ever covers it, with None for itself. NotInNRLambdaPlus
+        for a negative entry, given or reached; a descent with no step, as at weight 0, re-raises the refusal.
         """
         a = dim_vector(self.quiver, a)
         if min(a, default=0) < 0:
@@ -203,8 +201,9 @@ class LambdaContext:
             weight = tuple(Fraction(x, self._scale) for x in weight)
             if weight != self.weight and weight not in self._reduced:
                 self._reduced[weight] = LambdaContext(self.quiver, weight, self.caps)
-            self._over[a] = self._reduced.get(weight, self), tuple(dim), seq
+            self._over[a] = self._reduced.get(weight), tuple(dim), seq
         low, b, seq = self._over[a]
+        low = low or self
         low._cover(b)  # the reduced box may since have moved to another vector's
         return low, b, seq
 
@@ -227,9 +226,10 @@ class LambdaContext:
         joins Sigma and the table.
         """
         if kind not in self._tables:
-            table = self._tables[kind] = BoxTable(self._bound, self._seeds.values())
+            seeds = {b: b.index(1) for b, p in self._roots.items() if sum(b) == 1 and not p}
+            table = self._tables[kind] = BoxTable(self._bound, seeds.values())
             for beta, p in self._roots.items():
-                if beta in self._seeds:  # seeded, with no proper split: never read its cell
+                if beta in seeds:  # seeded, with no proper split: never read its cell
                     table.items[beta] = p
                 elif kind == "norm" or (split := table[beta]) is None or split < p:
                     table.add(beta, p)

@@ -147,15 +147,16 @@ def test_kleinian_label_after_one_reflection():
 
 
 def test_kleinian_label_rejects_a_descent_stuck_at_a_zero_weight():
-    # none of these is an isotropic Sigma member at weight 0: a caller's error, exit 1
+    # none of these is an isotropic Sigma member at its weight: a caller's error, exit 1
     k3 = qd.Quiver(["0", "1"], [["0", "1"]] * 3)
-    for q, sigma, message in (
-        (EX4, (1, 1, 1, 1), "outside the fundamental region"),  # isotropic, splits off e_1
-        (KRONECKER, (2, 2), "not the delta of its support"),  # twice delta
-        (KRONECKER, (1, 0), "outside the fundamental region"),  # real
-        (k3, (1, 1), "support of kind Other"),  # non-isotropic Sigma member
+    for q, lam, sigma, message in (
+        (EX4, (0, 0, 0, 0), (1, 1, 1, 1), "outside the fundamental region"),  # isotropic, splits off e_1
+        (KRONECKER, (0, 0), (2, 2), "not the delta of its support"),  # twice delta
+        (KRONECKER, (0, 0), (1, 0), "outside the fundamental region"),  # real
+        (k3, (0, 0), (1, 1), "support of kind Other"),  # non-isotropic Sigma member
+        (KRONECKER, (1, 0), (1, 1), r"\(1, 1\) is not orthogonal to the weight"),  # delta, off the weight
     ):
-        ctx = qd.LambdaContext(q, (0,) * q.n)
+        ctx = qd.LambdaContext(q, lam)
         isotropic = qd.classify_root(q, sigma) is RootClass.ISOTROPIC_IMAGINARY
         assert not (isotropic and qd.in_sigma_lambda(ctx, sigma))
         with pytest.raises(qd.NotIsotropicSigma, match=message) as raised:
@@ -270,6 +271,9 @@ def test_check_refinement_examples(kron0):
     with pytest.raises(ValueError, match="1.5 is not an integer"):
         qd.check_refinement([(1.5,)], [(1,)])
     assert qd.check_refinement([(2.0,), (Fraction(4, 2),)], [(4,)])
+    # the two parts group to (1,), but the search assumes no negative entry
+    with pytest.raises(ValueError, match="entry -1 is negative"):
+        qd.check_refinement([(2,), (-1,)], [(1,)])
 
 
 def test_check_refinement_with_many_parts():

@@ -16,9 +16,11 @@ definitional paths, at boxes up to twice delta of the extended Dynkin
 quivers, where the oracle still enumerates quickly.
 """
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -816,6 +818,19 @@ def test_a_descent_back_to_the_weight_runs_on_the_context_itself(scale):
         assert _answers(ctx, alpha) == _answers(direct, alpha), alpha
         assert ctx._reduced.get(ctx.weight, ctx) is ctx and ctx.resolve(alpha)[0] is low, alpha
     assert (answered, own) == (107, 5)
+
+
+def test_a_descent_back_to_the_weight_leaves_no_reference_cycle():
+    # with the cycle collector off, only reference counting can free the context
+    gc.disable()
+    try:
+        ctx = qd.LambdaContext(EX4, EX4_WEIGHT)
+        assert ctx.resolve((1, 7, 8, 9))[0] is ctx
+        ref = weakref.ref(ctx)
+        del ctx
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _off_weight_cases(seed, count):
