@@ -25,7 +25,7 @@ from .quiver_core import (
     integer_entries,
     weight_to_json_list,
 )
-from .root_system import _CLASS_BY_P, RootClass, _affine_label, _descent, _in_fundamental, simple_reflection
+from .root_system import _CLASS_BY_P, RootClass, _affine_label, _descent, _in_fundamental
 
 
 class Term(NamedTuple):
@@ -90,9 +90,15 @@ def canonical_decompose(ctx: LambdaContext, a: Sequence[int]) -> CanonicalDecomp
             raise InternalInconsistency(
                 f"non-isotropic term {sigma!r} appears with multiplicity {mult}"
             )
-        for vertex in reversed(seq):  # the descent was admissible, so its reverse is too
-            sigma = simple_reflection(ctx.quiver, vertex, sigma)
         terms.append(Term(sigma, mult, _CLASS_BY_P[min(p, 2)], p))
+    if seq:  # the descent was admissible, so its reverse is too
+        moves = dict(ctx.quiver._moves)
+        back = [(i, moves[i]) for i in map(ctx.quiver.index, reversed(seq))]
+        for k, term in enumerate(terms):
+            d = list(term.sigma)
+            for i, nbrs in back:  # s_i on ints: d_i -= (d, e_i)
+                d[i] = sum(m * d[j] for j, m in nbrs) - d[i]
+            terms[k] = term._replace(sigma=tuple(d))
     terms.sort(key=lambda t: (-t.p_value, t.sigma))
     return CanonicalDecomposition(tuple(terms), dim_vector(ctx.quiver, a) if seq else b, best)
 

@@ -91,10 +91,12 @@ class _OrbitSearch:
     """Breadth-first search of the admissible class of a pair, on flat states L * weight then dim.
 
     Admits at most ``budget`` states (a positive int, else InvalidCaps), the start
-    included, with exact-state deduplication, and hands out their indices into
-    ``states`` in BFS order; :meth:`sequence` rebuilds a shortest sequence from the
-    parent links on demand. ``truncated`` records whether an admission was refused;
-    after the first refusal the search stops expanding and hands out only admitted states.
+    included, with exact-state deduplication, and hands out each state's index into
+    ``states`` as it is admitted, so in BFS order, before the states queued ahead of
+    it are expanded; ``sums`` holds each state's entry sum. :meth:`sequence` rebuilds
+    a shortest sequence from the parent links on demand. ``truncated`` records whether
+    an admission was refused; the first refusal ends the search, as every admitted
+    state has been handed out by then.
 
     The start tries every move (``tries[0]``); a state reached by the move at i
     tries ``tries[i + 1]``, which skips the move back and every j < i with
@@ -111,7 +113,7 @@ class _OrbitSearch:
         self.vertices, self.n = q.vertices, q.n
         self.budget, self.truncated = budget, False
         self.states = [weight + start.dim]
-        self.parent, self.via = [-1], [-1]
+        self.parent, self.via, self.sums = [-1], [-1], [sum(start.dim)]
         self.tries = [[move for move in q._moves if (j := move[0]) > i or j != i and q.cartan_matrix()[i][j]]
                       for i in range(-1, self.n)]
 
@@ -119,12 +121,10 @@ class _OrbitSearch:
         return PairState(tuple(Fraction(x, self.scale) for x in state[:self.n]), state[self.n:])
 
     def __iter__(self) -> Iterator[int]:
-        states, parent, via, n = self.states, self.parent, self.via, self.n
+        states, parent, via, sums, n = self.states, self.parent, self.via, self.sums, self.n
         seen = set(states)
+        yield 0
         for k, state in enumerate(states):  # grows while it is read: the list is the queue
-            yield k
-            if self.truncated:
-                continue
             for i, nbrs in self.tries[via[k] + 1]:
                 if not (w := state[i]):
                     continue
@@ -138,11 +138,13 @@ class _OrbitSearch:
                     continue
                 if len(seen) >= self.budget:
                     self.truncated = True
-                    break
+                    return
                 seen.add(nxt)
                 states.append(nxt)
                 parent.append(k)
                 via.append(i)
+                sums.append(sums[k] + d - state[n + i])
+                yield len(states) - 1
 
     def sequence(self, k: int) -> tuple[str, ...]:
         seq = []
@@ -156,15 +158,20 @@ def normalize_pair(q: Quiver, pair: PairState, budget: int = 100_000) -> Normali
     """Search the admissible class for a pair of minimal total dimension.
 
     Breadth-first with exact-state deduplication, admitting at most
-    ``budget`` states; ties in the total break lexicographically on the
-    dimension vector, then on the order of discovery. The result is minimal
-    among the states admitted and is flagged ``exhaustive`` only when no
-    admission was refused: the class is infinite for many quivers, so
-    global minimality is only certified by that flag.
+    ``budget`` states, each with its entry sum carried from its parent's;
+    ties in the total break lexicographically on the dimension vector, then
+    on the order of discovery. The result is minimal among the states
+    admitted and is flagged ``exhaustive`` only when no admission was
+    refused: the class is infinite for many quivers, so global minimality
+    is only certified by that flag.
     """
     search = _OrbitSearch(q, pair, budget)
-    best = min(search, key=lambda k: (sum(dim := search.states[k][search.n:]), dim))
-    return NormalizedPair(search.pair(search.states[best]), search.sequence(best), not search.truncated)
+    for _ in search:
+        pass
+    states, sums, n = search.states, search.sums, search.n
+    low = min(sums)
+    best = min((k for k, total in enumerate(sums) if total == low), key=lambda k: states[k][n:])
+    return NormalizedPair(search.pair(states[best]), search.sequence(best), not search.truncated)
 
 
 def fundamental_representative(
@@ -173,13 +180,22 @@ def fundamental_representative(
     """First admitted pair whose dimension lies in the fundamental region.
 
     Breadth-first over at most ``budget`` states, so the realizing sequence
-    is as short as possible. Returns None only when no admitted pair lies in
-    the fundamental region: none is reachable, or the budget ran out first.
+    is as short as possible; each state is judged as it is admitted, and the
+    search stops there. Returns None only when no admitted pair lies in the
+    fundamental region: none is reachable, or the budget ran out first.
+
+    Only the start and the states not raised by their move are tested: a
+    move at loopfree i that raises the entry at i gives (s_i a, e_i) =
+    -(a, e_i) > 0, outside the region. A move with (a, e_i) = 0 keeps the
+    dimension and changes only the weight, so its state is still tested.
     """
     search = _OrbitSearch(q, pair, budget)
+    states, sums, parent, n = search.states, search.sums, search.parent, search.n
     for k in search:
-        if _in_fundamental(q, search.states[k][search.n:]):
-            return search.pair(search.states[k]), search.sequence(k)
+        if k and sums[k] > sums[parent[k]]:
+            continue  # only the entry at i moved, and it rose: (s_i a, e_i) = -(a, e_i) > 0
+        if _in_fundamental(q, states[k][n:]):
+            return search.pair(states[k]), search.sequence(k)
     return None
 
 

@@ -68,9 +68,12 @@ def in_fundamental_region(q: Quiver, a: Sequence[int]) -> bool:
 
 def _in_fundamental(q: Quiver, a: DimVector) -> bool:
     """``in_fundamental_region`` for a tuple of ints of length ``q.n``, unchecked."""
-    if min(a, default=0) < 0 or not any(a):
+    if min(a, default=0) < 0:
         return False
-    return all(sum(map(mul, row, a)) <= 0 for row in q.cartan_matrix()) and has_connected_support(q, a)
+    for row in q._cartan:
+        if sum(map(mul, row, a)) > 0:
+            return False
+    return _spans_one_component(q, sum(1 << i for i, e in enumerate(a) if e))  # False on the zero vector
 
 
 # a positive root is real at p = 0, isotropic at p = 1 and non-isotropic above

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -175,6 +176,41 @@ def test_over_cap_pair_decomposed_after_descent():
     assert report.formula == "point" and report.decomposition.norm == 0
     assert qd.in_N_R_lambda_plus(ctx, (4, 12, 8, 4))
     assert qd.norm_lambda(ctx, (4, 12, 8, 4)) == 0 == qd.dimension_of_N(ctx, (4, 12, 8, 4))
+
+
+def _mapped_back_by_simple_reflection(ctx, a):
+    """The reduced pair's terms reflected back one validated ``simple_reflection`` at a time."""
+    low, b, seq = ctx.resolve(a)
+    terms = []
+    for term in qd.canonical_decompose(low, b).terms:
+        sigma = term.sigma
+        for vertex in reversed(seq):
+            sigma = qd.simple_reflection(ctx.quiver, vertex, sigma)
+        terms.append(term._replace(sigma=sigma))
+    return sorted(terms, key=lambda t: (-t.p_value, t.sigma))
+
+
+def test_terms_mapped_back_on_ints_match_simple_reflection():
+    # Kronecker (2000,2001) descends by 2,000 reflections to (0,1); the ex4 vectors are every orthogonal
+    # over-cap vector with entries at most 12 that decomposes (90 at each of two scales of the weight)
+    kronecker = qd.LambdaContext(KRONECKER, (1, Fraction(-2000, 2001)))
+    assert len(kronecker.resolve((2000, 2001))[2]) == 2000
+    assert list(qd.canonical_decompose(kronecker, (2000, 2001)).terms) == _mapped_back_by_simple_reflection(
+        kronecker, (2000, 2001)) == [qd.Term((2000, 2001), 1, RootClass.REAL, 0)]
+    checked = 0
+    for scale in (1, Fraction(1, 3)):
+        ctx = qd.LambdaContext(EX4, tuple(scale * x for x in EX4_WEIGHT))
+        for alpha in itertools.product(range(13), repeat=4):
+            if sum(alpha) <= qd.DEFAULT_CAPS.max_bound_sum or qd.lambda_dot(ctx.weight, alpha):
+                continue
+            try:
+                terms = qd.canonical_decompose(ctx, alpha).terms
+            except qd.QuiverdecError:
+                continue
+            assert ctx.resolve(alpha)[2]
+            assert list(terms) == _mapped_back_by_simple_reflection(ctx, alpha), alpha
+            checked += 1
+    assert checked == 180
 
 
 def test_over_cap_pair_descending_to_a_negative_entry_is_not_a_member():

@@ -6,7 +6,9 @@ import pytest
 
 import quiverdec as qd
 from quiverdec.errors import InadmissibleStep, InvalidCaps
+from quiverdec import reflection_walk
 from quiverdec.reflection_walk import _OrbitSearch, trace_to_json
+from quiverdec.root_system import _in_fundamental
 
 EX4 = qd.Quiver(["1", "2", "3", "4"], [["1", "2"], ["2", "3"], ["2", "4"], ["3", "4"]])
 EX4_WEIGHT = (0, 1, -2, 1)
@@ -204,8 +206,8 @@ def test_strip_simple_iteration_terminates():
 
 # -- the one bounded orbit search ----------------------------------------------
 
-# a pair whose fundamental representative is admitted as the 144th state but
-# handed out only after an admission has been refused
+# a pair whose fundamental representative is admitted as the 144th state, with
+# states still queued ahead of it: the search hands it out as it is admitted
 BOUNDARY = qd.make_pair(EX4, (Fraction(5, 27), Fraction(-5, 9), Fraction(-2, 3), 1), (3, 4, 2, 3))
 A2 = qd.dynkin_quiver("A2")
 
@@ -504,3 +506,111 @@ def test_pruning_cases_reach_deep_and_wide():
     assert any(not q.is_loopfree(v) for q, _ in cases for v in q.vertices)
     sizes = [len(_reference_orbit(q, pair, PRUNING_BUDGET)[0]) for q, pair in cases]
     assert sum(size == PRUNING_BUDGET for size in sizes) >= len(cases) // 2  # most classes outgrow the budget
+
+
+# -- the search stops at its answer, and tests only states that can lie in F --
+
+# answers at the start, within the budget or past it; zero weights, negative entries, and weight-only
+# moves (c = 0: the dimension stays) admitted ahead of an answer
+SEARCH_BUDGET = 60
+SEARCH_CASES = [
+    (EX4, BOUNDARY),
+    (EX4, qd.make_pair(EX4, (Fraction(1, 3), Fraction(2, 5), Fraction(-7, 11), Fraction(13, 55)), (0, 1, 1, 1))),
+    (EX4, qd.make_pair(EX4, (2, 1, 0, Fraction(-1, 2)), (1, 2, 1, 2))),
+    (EX4, qd.make_pair(EX4, (Fraction(-1, 3), Fraction(1, 3), Fraction(-4, 3), Fraction(2, 3)), (2, 3, 2, 3))),
+    (D4, qd.make_pair(D4, (1, 0, -1, 2, 0), (1, 1, 2, 1, 1))),
+    (D4, qd.make_pair(D4, (1, 0, -1, 2, 0), (1, 3, 2, -1, 1))),
+    (KRONECKER, qd.make_pair(KRONECKER, (1, 2), (3, 3))),
+    (KRONECKER, qd.make_pair(KRONECKER, (1, Fraction(-2, 3)), (2, 3))),
+    (KRONECKER, qd.make_pair(KRONECKER, (0, 1), (-1, 2))),
+    (LOOPED, qd.make_pair(LOOPED, (4, -3, 5), (3, 5, 1))),
+    (LOOPED, qd.make_pair(LOOPED, (1, -3, 0), (3, 4, 1))),
+    (LOOPED, qd.make_pair(LOOPED, (0, 1, 0), (2, -1, 1))),
+]
+
+
+def _moves_into(q, admitted):
+    """For each admitted state after the start: (its parent's dimension, the vertex index of its move)."""
+    index = {seq: k for k, (_, seq) in enumerate(admitted)}
+    return {k: (admitted[index[seq[:-1]]][0].dim, q.index(seq[-1])) for k, (_, seq) in enumerate(admitted) if seq}
+
+
+def _answer_index(q, admitted):
+    return next((k for k, (state, _) in enumerate(admitted) if qd.in_fundamental_region(q, state.dim)), None)
+
+
+@pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
+def test_searches_match_the_reference_at_every_budget_to_60(case):
+    q, pair = SEARCH_CASES[case]
+    _check_against_fraction_path(q, pair, range(1, SEARCH_BUDGET + 1))
+
+
+def test_search_cases_reach_every_kind_of_state():
+    kinds = set()
+    for q, pair in SEARCH_CASES:
+        admitted, _ = _reference_orbit(q, pair, SEARCH_BUDGET)
+        k, moves = _answer_index(q, admitted), _moves_into(q, admitted)
+        kinds.add(q)
+        kinds |= {"zero weight"} if 0 in pair.weight else set()
+        kinds |= {"negative entry"} if min(pair.dim) < 0 else set()
+        kinds.add("answer at the start" if k == 0 else "no answer" if k is None else "answer within the budget")
+        if k is not None and any(state.dim == moves[j][0] for j, (state, _) in enumerate(admitted[1:k], 1)):
+            kinds.add("weight-only move ahead of an answer")
+    assert kinds == {EX4, D4, KRONECKER, LOOPED, "zero weight", "negative entry", "answer at the start",
+                     "no answer", "answer within the budget", "weight-only move ahead of an answer"}
+
+
+@pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
+def test_the_search_stops_at_its_answer_and_tests_only_states_not_raised(monkeypatch, case):
+    # a state raised at i pairs positively with e_i, as (s_i a, e_i) = -(a, e_i), so it lies outside F;
+    # a weight-only move keeps the dimension and its state is still tested
+    q, pair = SEARCH_CASES[case]
+    admitted, _ = _reference_orbit(q, pair, SEARCH_BUDGET)
+    moves = _moves_into(q, admitted)
+    unraised = [0] + [k for k, (before, i) in moves.items() if admitted[k][0].dim[i] <= before[i]]
+    searches, tested = [], []
+
+    class Recorded(_OrbitSearch):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    def counted(q, dim):
+        tested.append(dim)
+        return _in_fundamental(q, dim)
+
+    monkeypatch.setattr(reflection_walk, "_OrbitSearch", Recorded)
+    monkeypatch.setattr(reflection_walk, "_in_fundamental", counted)
+    for budget in range(1, SEARCH_BUDGET + 1):
+        searches.clear()
+        tested.clear()
+        prefix = admitted[:budget]
+        k = _answer_index(q, prefix)
+        assert qd.fundamental_representative(q, pair, budget=budget) == (None if k is None else prefix[k])
+        end = len(prefix) if k is None else k + 1
+        assert len(searches[0].states) == end, budget  # nothing admitted after the answer
+        assert tested == [prefix[j][0].dim for j in unraised if j < end], budget
+
+
+class _CountingList(list):
+    """A list that counts its reads by index: one per state the search expands."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("case", range(len(SEARCH_CASES)))
+def test_the_search_expands_no_state_after_a_refused_admission(case):
+    q, pair = SEARCH_CASES[case]
+    admitted, _ = _reference_orbit(q, pair, SEARCH_BUDGET + 1)
+    index = {seq: k for k, (_, seq) in enumerate(admitted)}
+    for budget in range(1, SEARCH_BUDGET + 1):
+        search = _OrbitSearch(q, pair, budget)
+        search.tries = _CountingList(search.tries)
+        assert list(search) == list(range(min(budget, len(admitted))))
+        refused = len(admitted) > budget  # then the expansion of the next state's parent is refused
+        assert search.truncated is refused
+        assert search.tries.reads == (index[admitted[budget][1][:-1]] + 1 if refused else len(admitted)), budget

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -286,6 +287,26 @@ def test_shape_elimination_matches_reference_routines():
             for v in q.vertices:
                 assert qd.bilinear_form(q, shape.delta, qd.coordinate_vector(q, v)) == 0, (q, v)
     assert kinds == set(ShapeKind)
+
+
+def test_fundamental_region_matches_its_definition():
+    """Nonzero, nonnegative, (a, e_i) <= 0 at every vertex, support one component; no main-path test."""
+    rng = random.Random(33)
+    quivers = [KRONECKER, JORDAN, K3, A2] + _random_quivers(300, seed=33)
+    assert any(not q.is_loopfree(v) for q in quivers for v in q.vertices)
+    assert any(len(set(q.arrows)) < len(q.arrows) for q in quivers)
+    seen = Counter()
+    for q in quivers:
+        vectors = [(0,) * q.n] + [tuple(rng.randint(-1, 4) for _ in range(q.n)) for _ in range(20)]
+        vectors += [tuple(rng.randint(1, 3) for _ in range(q.n)) for _ in range(5)]
+        for a in vectors:
+            supp = [v for v, e in zip(q.vertices, a) if e]
+            rest = (all(qd.bilinear_form(q, a, qd.coordinate_vector(q, v)) <= 0 for v in q.vertices)
+                    and len(connected_components(q, supp)) == 1)
+            want = bool(supp) and min(a) >= 0 and rest
+            assert qd.in_fundamental_region(q, a) is want, (q, a)
+            seen["in F" if want else "zero" if not supp else "negative entry only" if rest else "out"] += 1
+    assert seen["in F"] >= 500 and seen["zero"] and seen["negative entry only"] and seen["out"], seen
 
 
 def test_radical_rejects_indefinite_and_reads_semidefinite_forms():
