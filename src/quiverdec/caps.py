@@ -1,8 +1,8 @@
-"""Resource caps for the componentwise box enumerations.
+"""Resource caps for the componentwise box enumerations, the one owner of the cap policy.
 
-Every enumerated box is first checked against a :class:`Caps`, so a typo in
-a dimension vector fails fast instead of grinding through an astronomical
-box. Orbit searches take their own ``budget``; descents are not capped.
+Every enumerated box is first checked against a :class:`Caps`, so a typo in a dimension vector fails
+fast instead of grinding through an astronomical box; the query engine asks for the refusal before it
+covers a vector. Orbit searches take a ``budget`` under the caps' positive-integer rule; descents are not capped.
 """
 
 from __future__ import annotations
@@ -10,11 +10,18 @@ from __future__ import annotations
 import os
 from contextlib import suppress
 from dataclasses import dataclass, fields
+from math import prod
 
 from .errors import InvalidCaps, ResourceLimit
 
 ENV_MAX_BOX = "QUIVERDEC_MAX_BOX"
 ENV_MAX_SUM = "QUIVERDEC_MAX_SUM"
+
+
+def require_positive(name: str, value) -> None:
+    """InvalidCaps unless ``value`` is a positive int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise InvalidCaps(f"{name} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -26,9 +33,7 @@ class Caps:
 
     def __post_init__(self):
         for field in fields(self):
-            value = getattr(self, field.name)
-            if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
-                raise InvalidCaps(f"{field.name} must be a positive integer, got {value!r}")
+            require_positive(field.name, getattr(self, field.name))
 
     @classmethod
     def from_env(cls) -> "Caps":
@@ -38,29 +43,26 @@ class Caps:
             (ENV_MAX_BOX, "max_box_volume"),
             (ENV_MAX_SUM, "max_bound_sum"),
         ):
-            raw = os.environ.get(env)
-            if raw is not None:
+            if (raw := os.environ.get(env)) is not None:
                 with suppress(ValueError):  # int() refuses more digits than the interpreter converts
                     updates[field] = raw.strip().isdecimal() and int(raw)
-                if not updates.get(field):
-                    raise InvalidCaps(f"{env} must be a positive integer, got {raw!r}")
+                require_positive(env, updates.get(field) or raw)  # the text itself unless it read as a positive int
         return cls(**updates)
 
-    def check_box(self, bound) -> None:
-        """Reject a componentwise enumeration box that exceeds the caps."""
+    def refusal(self, bound) -> str | None:
+        """Why the caps refuse the box below a nonnegative ``bound``, or None; both measures grow with each entry."""
         total = sum(bound)
         if total > self.max_bound_sum:
-            raise ResourceLimit(
-                f"bound sum {total} exceeds cap {self.max_bound_sum} (max_bound_sum, {ENV_MAX_SUM}, --max-sum)"
-            )
-        volume = 1
-        for b in bound:
-            volume *= b + 1
+            return f"bound sum {total} exceeds cap {self.max_bound_sum} (max_bound_sum, {ENV_MAX_SUM}, --max-sum)"
+        volume = prod(b + 1 for b in bound)
         if volume > self.max_box_volume:
-            raise ResourceLimit(
-                f"box volume {volume} exceeds cap {self.max_box_volume}"
-                f" (max_box_volume, {ENV_MAX_BOX}, --max-box)"
-            )
+            return f"box volume {volume} exceeds cap {self.max_box_volume} (max_box_volume, {ENV_MAX_BOX}, --max-box)"
+        return None
+
+    def check_box(self, bound) -> None:
+        """ResourceLimit, with the refusal as its message, for a box the caps refuse."""
+        if reason := self.refusal(bound):
+            raise ResourceLimit(reason)
 
 
 DEFAULT_CAPS = Caps()

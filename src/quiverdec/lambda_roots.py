@@ -141,21 +141,19 @@ class LambdaContext:
         self._weight_text: str | None = None  # product_structure_report's rendering of the weight
 
     def _cover(self, bound: DimVector) -> None:
-        """Classify a box containing ``bound``, the join with the old box if it fits the caps.
+        """Classify a box containing ``bound``: the join with the old box if the caps admit it, else ``bound``.
 
-        Of the orthogonal roots it keeps those with p > 0, the coordinate vectors and those where
-        the weight is nonzero on the support: no table can use any other, a real root that sums
-        orthogonal coordinate vectors of p = 0. So where the weight is 0 at every loopfree vertex,
-        only imaginary roots are raised. Each table reads its seeds off the kept roots.
+        ResourceLimit when the caps refuse ``bound`` too. Of the orthogonal roots it keeps those with p > 0,
+        the coordinate vectors and those where the weight is nonzero on the support: no table can use any
+        other, a real root that sums orthogonal coordinate vectors of p = 0. So where the weight is 0 at every
+        loopfree vertex, only imaginary roots are raised. Each table reads its seeds off the kept roots.
         """
         if _below(bound, self._bound):
             return
-        box = tuple(map(max, bound, self._bound))
+        join = tuple(map(max, bound, self._bound))
+        box = bound if self.caps.refusal(join) else join
         real = any(w for w, v in zip(self._scaled, self.quiver.vertices) if self.quiver.is_loopfree(v))
-        try:
-            roots = _roots_with_p(self.quiver, box, self.caps, real)
-        except ResourceLimit:
-            box, roots = bound, _roots_with_p(self.quiver, bound, self.caps, real)
+        roots = _roots_with_p(self.quiver, box, self.caps, real)
         self._roots = {b: roots[b] for b in self._orthogonal(roots)
                        if roots[b] or sum(b) == 1 or any(map(mul, self._scaled, b))}
         self._bound = box
@@ -172,12 +170,12 @@ class LambdaContext:
     def resolve(self, a: Sequence[int]) -> tuple[LambdaContext, DimVector, tuple[str, ...]]:
         """(context, vector, reflections) that a vector query on ``a`` runs on, the box covering it.
 
-        Itself, ``a`` and () when the caps admit a box containing ``a``, at once if the classified box does
-        (a box within the caps holds no over-cap vector). Over the caps, NotInNRLambdaPlus for a vector not
-        orthogonal to the weight, with no box and no descent; else the pair's admissible descent, which keeps
-        orthogonal roots and p, on the reduced weight's context: itself, or the one kept for another weight.
-        That triple is kept per vector, as no box of the caps ever covers it, with None for itself. NotInNRLambdaPlus
-        for a negative entry, given or reached; a descent with no step, as at weight 0, re-raises the refusal.
+        Itself, ``a`` and () at once when the classified box holds ``a`` (a box within the caps holds no over-cap
+        vector), else when the caps admit ``a``, asked before any box is built. Over the caps, NotInNRLambdaPlus for
+        a vector not orthogonal to the weight, with no box and no descent; else the pair's admissible descent, which
+        keeps orthogonal roots and p, on the reduced weight's context: itself, or the one kept for another weight.
+        That triple is kept per vector, as no box of the caps covers it, with None for itself. NotInNRLambdaPlus for
+        a negative entry, given or reached; a descent with no step, as at weight 0, raises the caps' refusal of ``a``.
         """
         a = dim_vector(self.quiver, a)
         if min(a, default=0) < 0:
@@ -185,16 +183,15 @@ class LambdaContext:
         if _below(a, self._bound):
             return self, a, ()
         if a not in self._over:
-            try:
+            if (reason := self.caps.refusal(a)) is None:
                 self._cover(a)
                 return self, a, ()
-            except ResourceLimit:
-                if sum(map(mul, self._scaled, a)):
-                    raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots") from None
-                dim, weight = list(a), list(self._scaled)
-                seq = tuple(self.quiver.vertices[i] for i in _descent(self.quiver, dim, weight))
-                if not seq:
-                    raise
+            if sum(map(mul, self._scaled, a)):
+                raise NotInNRLambdaPlus(f"{a!r} is not a sum of orthogonal positive roots")
+            dim, weight = list(a), list(self._scaled)
+            seq = tuple(self.quiver.vertices[i] for i in _descent(self.quiver, dim, weight))
+            if not seq:
+                raise ResourceLimit(reason)
             if min(dim) < 0:
                 along = ",".join(seq) if len(seq) <= 64 else f"{','.join(seq[:8])},… ({len(seq)} reflections)"
                 raise NotInNRLambdaPlus(f"{a!r} reflects along {along} to {tuple(dim)!r}")

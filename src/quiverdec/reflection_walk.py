@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InadmissibleStep, InvalidCaps
+from .caps import require_positive
+from .errors import InadmissibleStep
 from .quiver_core import (
     DimVector,
     Quiver,
@@ -106,8 +107,7 @@ class _OrbitSearch:
     """
 
     def __init__(self, q: Quiver, pair: PairState, budget: int):
-        if isinstance(budget, bool) or not isinstance(budget, int) or budget <= 0:  # as Caps checks a cap
-            raise InvalidCaps(f"budget must be a positive integer, got {budget!r}")
+        require_positive("budget", budget)
         start = make_pair(q, pair.weight, pair.dim)
         self.scale, weight = _integer_weight(start.weight)  # both moves are linear in the weight
         self.vertices, self.n = q.vertices, q.n

@@ -203,6 +203,18 @@ def test_resource_limits_name_the_setting(capsys):
     assert rc == 3 and "(max_box_volume, QUIVERDEC_MAX_BOX, --max-box)" in err
 
 
+@pytest.mark.parametrize("command", ["decompose", "sigma"])
+def test_volume_refusal_after_a_descent_with_no_step(capsys, command):
+    # at weight 0 the Kronecker vector (5,5) admits no reflection, so the caps' refusal of it is the answer
+    rc, out, err = run(capsys, command, "--quiver", KRONECKER, "--lambda", "0,0", "--alpha", "5,5", "--max-box", "20")
+    assert (rc, out, err) == (3, "", "error: box volume 36 exceeds cap 20 (max_box_volume, QUIVERDEC_MAX_BOX, --max-box)\n")
+
+
+def test_unknown_vertex_in_a_sequence(capsys):
+    rc, out, err = run(capsys, "reflect", "--quiver", EX4, "--lambda", "0,1,-2,1", "--alpha", "1,3,2,1", "--seq", "9")
+    assert (rc, out, err) == (1, "", "error: unknown vertex '9'\n")
+
+
 def test_huge_quiver_gets_an_answer_or_the_cap(tmp_path, capsys):
     # a path of 1,500 vertices with three adjacent vertices of positive bound:
     # an answer or the cap's refusal, never a RecursionError
@@ -291,7 +303,7 @@ def test_bad_cap_values_are_usage_errors(capsys, monkeypatch, env, value):
     monkeypatch.setenv(env, value)
     rc, out, err = run(capsys, "decompose", "--quiver", KRONECKER, "--lambda", "0,0", "--alpha", "1,1")
     assert rc == 2 and out == ""
-    assert env in err and "positive integer" in err
+    assert err == f"error: {env} must be a positive integer, got {value!r}\n"
 
 
 def test_caps_reject_nonpositive_limits(capsys):
@@ -301,6 +313,18 @@ def test_caps_reject_nonpositive_limits(capsys):
                 qd.Caps(**{field: value})
     rc, _, err = run(capsys, "roots", "--quiver", KRONECKER, "--bound", "1,1", "--max-box", "0")
     assert rc == 2 and "max_box_volume" in err
+
+
+def test_check_box_raises_the_refusal():
+    caps = qd.Caps(max_box_volume=20, max_bound_sum=10)
+    assert caps.refusal((3, 3)) is None and caps.refusal(()) is None
+    assert caps.refusal((6, 5)) == "bound sum 11 exceeds cap 10 (max_bound_sum, QUIVERDEC_MAX_SUM, --max-sum)"
+    assert caps.refusal((5, 5)) == "box volume 36 exceeds cap 20 (max_box_volume, QUIVERDEC_MAX_BOX, --max-box)"
+    caps.check_box((3, 3))
+    for bound in ((6, 5), (5, 5)):
+        with pytest.raises(qd.ResourceLimit) as refused:
+            caps.check_box(bound)
+        assert str(refused.value) == caps.refusal(bound)
 
 
 # (lemma, instances_checked, info) of each report of the default verify suite

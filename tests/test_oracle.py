@@ -186,10 +186,12 @@ def test_check_rootineq():
     synth = qd.LambdaContext(EX4, (0, 1, -1, 0))
     report = oracle.check_rootineq(synth, (1, 0, 0, 0))
     assert report.passed and report.instances_checked == 2
-    with pytest.raises(ValueError):
-        oracle.check_rootineq(ctx4, (0, 1, 1, 1))  # entry at the added vertex is 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the vector must have entry 1 at the added vertex '1'$"):
+        oracle.check_rootineq(ctx4, (0, 1, 1, 1))
+    with pytest.raises(ValueError, match=r"^the weight must be orthogonal to delta and vanish at the added vertex$"):
         oracle.check_rootineq(qd.LambdaContext(EX4, (1, 1, -2, 1)), (1, 0, 0, 0))
+    with pytest.raises(ValueError, match=r"^\(1, 1, 0, 0\) is not a Sigma member for this weight$"):
+        oracle.check_rootineq(ctx4, (1, 1, 0, 0))
 
 
 def test_check_maincase():
@@ -198,7 +200,7 @@ def test_check_maincase():
     assert report.passed
     assert report.info["with_qualifying_m"] == [{"alpha": [1, 0, 0, 0], "m": 0}]
     assert [1, 3, 2, 1] in report.info["without_qualifying_m"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the weight must be orthogonal to delta and vanish at the added vertex$"):
         oracle.check_maincase(qd.LambdaContext(EX4, (1, 1, -2, 1)), (1, 2, 2, 2), 3)
 
 
@@ -229,14 +231,16 @@ def test_check_support_split_delta_multiple():
 def test_check_support_split_hypotheses():
     bridge = qd.Quiver(["a", "b"], [["a", "b"]])
     ctx = qd.LambdaContext(bridge, (1, -1))
-    with pytest.raises(ValueError):
-        oracle.check_support_split(ctx, (2, 2), ("a",), ("b",))  # entries not 1-1
+    with pytest.raises(ValueError, match=r"^the weight must be orthogonal to the first side$"):
+        oracle.check_support_split(ctx, (2, 2), ("a",), ("b",))
+    with pytest.raises(ValueError, match=r"^the connecting arrow needs entries 1-1 or the delta-multiple shape$"):
+        oracle.check_support_split(qd.LambdaContext(bridge, (0, 0)), (2, 2), ("a",), ("b",))
     two_arrows = qd.Quiver(["a", "b"], [["a", "b"], ["a", "b"]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the parts must be joined by at most one arrow$"):
         oracle.check_support_split(
             qd.LambdaContext(two_arrows, (0, 0)), (1, 1), ("a",), ("b",)
         )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^the two parts must partition the vertex set$"):
         oracle.check_support_split(ctx, (1, 1), ("a",), ("a", "b"))
 
 
